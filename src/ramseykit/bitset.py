@@ -22,7 +22,3 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1

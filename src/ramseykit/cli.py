@@ -4,8 +4,11 @@ Every subcommand prints a machine-readable JSON record (schemas live in
 docs/schemas/); human text is a rendering of the same record.  Exit codes are
 uniform: 0 for success / an affirmative result, 1 for a legitimate negative
 outcome (no witness trial succeeded, embedding failed, value above cap), 2
-for input errors.  All output is deterministic given the full flag set; one
---seed flag governs all randomness and --threads never changes bytes.
+for input errors, 3 for internal errors (a broken contract, an exhausted
+search budget, any other uncaught exception), reported as one stderr line
+"internal error: <type>: <message>" with nothing on stdout.  All output is
+deterministic given the full flag set; one --seed flag governs all
+randomness and --threads never changes bytes.
 """
 from __future__ import annotations
 
@@ -278,6 +281,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

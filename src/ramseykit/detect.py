@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterator, Literal
 
-from .bitset import iter_bits
+from .bitset import bits_of, iter_bits
 from .errors import CapacityError, InputError, SearchBudgetExceeded
 from .graphs import Graph, TwoColoring, _normalize_pair
 
@@ -87,33 +87,98 @@ class _NodeCounter:
 
 
 # ---------------------------------------------------------------------------
+# The two search kernels
+# ---------------------------------------------------------------------------
+#
+# Both are depth-first searches driven by an explicit stack, so their depth is
+# not limited by the interpreter's recursion limit.  Each ticks `counter` once
+# per prefix visited, the empty prefix included.
+
+def _cliques(adj: list[int], cand: int, s: int,
+             counter: _NodeCounter | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield every s-clique inside the vertex mask `cand`, in lexicographic order.
+
+    A prefix whose candidates cannot complete it to s vertices is not extended.
+    """
+    if counter is not None:
+        counter.tick()
+    if cand.bit_count() < s:
+        return
+    if s == 0:
+        yield ()
+        return
+    prefix: list[int] = []
+    # rests[d]: candidates for position d not yet tried, all above prefix[d - 1]
+    # and adjacent to every vertex of the prefix.
+    rests = [cand]
+    while True:
+        rest = rests[-1]
+        if not rest:
+            if not prefix:
+                return
+            rests.pop()
+            prefix.pop()
+            continue
+        low = rest & -rest
+        rest ^= low
+        rests[-1] = rest
+        v = low.bit_length() - 1
+        if counter is not None:
+            counter.tick()
+        depth = len(prefix) + 1
+        if depth == s:
+            yield (*prefix, v)
+            continue
+        rest &= adj[v]
+        if depth + rest.bit_count() >= s:
+            prefix.append(v)
+            rests.append(rest)
+
+
+def _place(adj: list[int], cand_mask: list[int], placed_nbrs: list[list[int]],
+           counter: _NodeCounter | None = None) -> list[int] | None:
+    """First injective image of a pattern on the host graph `adj`, or None.
+
+    Position i of the pattern goes to a host vertex in `cand_mask[i]` adjacent
+    to the images of the earlier positions `placed_nbrs[i]`.  Host vertices are
+    tried in ascending order, so the image is the lexicographically least one.
+    The empty pattern has the empty image and visits no prefix.
+    """
+    k = len(cand_mask)
+    if k == 0:
+        return []
+    if counter is not None:
+        counter.tick()
+    image: list[int] = []
+    used = 0
+    # rests[i]: host candidates for position i not yet tried.
+    rests = [cand_mask[0]]
+    while True:
+        rest = rests[-1]
+        if not rest:
+            if not image:
+                return None
+            rests.pop()
+            used ^= 1 << image.pop()
+            continue
+        low = rest & -rest
+        rests[-1] = rest ^ low
+        image.append(low.bit_length() - 1)
+        used |= low
+        if counter is not None:
+            counter.tick()
+        i = len(image)
+        if i == k:
+            return image
+        cand = cand_mask[i] & ~used
+        for j in placed_nbrs[i]:
+            cand &= adj[image[j]]
+        rests.append(cand)
+
+
+# ---------------------------------------------------------------------------
 # Clique search
 # ---------------------------------------------------------------------------
-
-def _find_clique_bits(adj: list[int], n: int, start_cand: int, s: int,
-                      counter: _NodeCounter) -> tuple[int, ...] | None:
-    """Lexicographically least s-clique within the candidate mask, or None."""
-
-    def extend(prefix: list[int], cand: int) -> tuple[int, ...] | None:
-        counter.tick()
-        if len(prefix) == s:
-            return tuple(prefix)
-        if len(prefix) + cand.bit_count() < s:
-            return None
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            prefix.append(v)
-            found = extend(prefix, cand & adj[v] & (-1 << (v + 1)))
-            prefix.pop()
-            if found is not None:
-                return found
-        return None
-
-    return extend([], start_cand)
-
 
 def find_clique(col: TwoColoring, color: Color, s: int,
                 node_budget: int | None = None) -> tuple[int, ...] | None:
@@ -127,7 +192,7 @@ def find_clique(col: TwoColoring, color: Color, s: int,
     if s > col.n:
         return None
     adj = color_adjacency_bits(col, color)
-    return _find_clique_bits(adj, col.n, (1 << col.n) - 1, s, _NodeCounter(node_budget))
+    return next(_cliques(adj, (1 << col.n) - 1, s, _NodeCounter(node_budget)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +212,6 @@ def find_copy(col: TwoColoring, color: Color, G: Graph,
     n, vg = col.n, G.n
     if vg > n:
         return None
-    if vg == 0:
-        return EmbeddingMap(G, {})
     adj = color_adjacency_bits(col, color)
     host_deg = [a.bit_count() for a in adj]
     gdeg = G.degrees()
@@ -156,37 +219,11 @@ def find_copy(col: TwoColoring, color: Color, G: Graph,
     order = sorted(range(vg), key=lambda g: (-gdeg[g], g))
     pos = {g: i for i, g in enumerate(order)}
     placed_nbrs = [[pos[h] for h in gadj[g] if pos[h] < i] for i, g in enumerate(order)]
-    deg_mask = [0] * vg
-    full = (1 << n) - 1
-    for i, g in enumerate(order):
-        mask = 0
-        for w in range(n):
-            if host_deg[w] >= gdeg[g]:
-                mask |= 1 << w
-        deg_mask[i] = mask
-
-    counter = _NodeCounter(node_budget)
-    image = [0] * vg
-
-    def place(i: int, used: int) -> bool:
-        counter.tick()
-        if i == vg:
-            return True
-        cand = deg_mask[i] & ~used
-        for j in placed_nbrs[i]:
-            cand &= adj[image[j]]
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            image[i] = low.bit_length() - 1
-            if place(i + 1, used | low):
-                return True
-        return False
-
-    if place(0, 0):
-        return EmbeddingMap(G, {order[i]: image[i] for i in range(vg)})
-    return None
+    deg_mask = [bits_of(w for w in range(n) if host_deg[w] >= gdeg[g]) for g in order]
+    image = _place(adj, deg_mask, placed_nbrs, _NodeCounter(node_budget))
+    if image is None:
+        return None
+    return EmbeddingMap(G, dict(zip(order, image)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,71 +231,27 @@ def find_copy(col: TwoColoring, color: Color, G: Graph,
 # ---------------------------------------------------------------------------
 
 def _greedy_packing(adj: list[int], n: int, s: int) -> list[tuple[int, ...]]:
-    """Maximal edge-disjoint packing, scanning s-cliques in lexicographic order.
+    """Maximal edge-disjoint packing: each s-clique, in lexicographic order,
+    joins the packing unless one of its pairs is already covered.
 
     `used[v]` is the bitmask of vertices w such that the pair {v, w} is
-    already covered by an accepted member; acceptance rechecks every internal
-    pair so members accepted earlier on the same DFS path cannot be reused.
+    already covered by an accepted member.
     """
     used = [0] * n
     members: list[tuple[int, ...]] = []
-
-    def disjoint_from_used(stack: list[int]) -> bool:
-        for i in range(len(stack)):
-            for j in range(i + 1, len(stack)):
-                if (used[stack[i]] >> stack[j]) & 1:
-                    return False
-        return True
-
-    def grow(stack: list[int], cand: int):
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if any((used[u] >> v) & 1 for u in stack):
-                continue
-            stack.append(v)
-            if len(stack) == s:
-                if disjoint_from_used(stack):
-                    member = tuple(stack)
-                    members.append(member)
-                    for i in range(s):
-                        for j in range(i + 1, s):
-                            used[member[i]] |= 1 << member[j]
-                            used[member[j]] |= 1 << member[i]
-            else:
-                grow(stack, cand & adj[v] & (-1 << (v + 1)))
-            stack.pop()
-
-    grow([], (1 << n) - 1)
+    for member in _cliques(adj, (1 << n) - 1, s):
+        mask = bits_of(member)
+        if any(used[u] & mask for u in member):
+            continue
+        members.append(member)
+        for u in member:
+            used[u] |= mask ^ (1 << u)
     return members
-
-
-def _all_cliques(adj: list[int], n: int, s: int) -> list[tuple[int, ...]]:
-    """Every s-clique, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def grow(stack: list[int], cand: int):
-        if len(stack) == s:
-            out.append(tuple(stack))
-            return
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            stack.append(v)
-            grow(stack, cand & adj[v] & (-1 << (v + 1)))
-            stack.pop()
-
-    grow([], (1 << n) - 1)
-    return out
 
 
 def _exact_packing(adj: list[int], n: int, s: int) -> list[tuple[int, ...]]:
     """Maximum-cardinality edge-disjoint packing by branch and bound."""
-    cliques = _all_cliques(adj, n, s)
+    cliques = list(_cliques(adj, (1 << n) - 1, s))
     if not cliques:
         return []
     pair_bit = {}

@@ -8,12 +8,14 @@ exhaustive.  The convention throughout is red-H (the clique side in all the
 bound formulas) and blue-G.
 
 Containment checks are incremental: after fixing an edge only copies using
-that edge are searched for, with a bitmask fast path when the pattern is a
-complete graph.
+that edge are searched for, with the two kernels shared with detect.  A
+complete pattern K_t is a (t-2)-clique in the common neighborhood of the
+edge (`_cliques`); any other pattern is placed with one of its edges pinned
+on the new edge (`_place`).
 """
 from __future__ import annotations
 
-from .detect import find_copy
+from .detect import _cliques, _place, find_copy
 from .errors import CapacityError, InputError
 from .graphs import Graph, TwoColoring
 
@@ -31,76 +33,38 @@ def is_witness(col: TwoColoring, H: Graph, G: Graph) -> bool:
 class _Pattern:
     """Static pattern data for pinned-edge containment checks."""
 
-    __slots__ = ("n", "edges", "adj", "deg", "clique_order")
+    __slots__ = ("n", "clique_order", "pinned_nbrs")
 
     def __init__(self, g: Graph):
         self.n = g.n
-        self.edges = sorted(g.edges)
-        self.adj = g.adjacency_sets()
-        self.deg = g.degrees()
         is_complete = g.n >= 2 and g.edge_count == g.n * (g.n - 1) // 2
         self.clique_order = g.n if is_complete else 0
-
-
-def _clique_in_mask(adj: list[int], cand: int, t: int) -> bool:
-    """Does `cand` contain a t-clique of the host graph?"""
-    if t <= 0:
-        return True
-    rest = cand
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest ^= low
-        if _clique_in_mask(adj, cand & adj[v] & (-1 << (v + 1)), t - 1):
-            return True
-    return False
-
-
-def _complete_pinned(adj: list[int], pat: _Pattern, u: int, v: int) -> bool:
-    common = adj[u] & adj[v] & ~((1 << u) | (1 << v))
-    return _clique_in_mask(adj, common, pat.clique_order - 2)
-
-
-def _generic_pinned(adj: list[int], n: int, pat: _Pattern, u: int, v: int) -> bool:
-    full = (1 << n) - 1
-
-    def complete(order: list[int], image: dict[int, int], used: int) -> bool:
-        if not order:
-            return True
-        g = order[0]
-        cand = full & ~used
-        for h in pat.adj[g]:
-            if h in image:
-                cand &= adj[image[h]]
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            image[g] = low.bit_length() - 1
-            if complete(order[1:], image, used | low):
-                return True
-            del image[g]
-        return False
-
-    for a, b in pat.edges:
-        remaining = sorted(
-            (g for g in range(pat.n) if g != a and g != b),
-            key=lambda g: (-pat.deg[g], g),
-        )
-        for x, y in ((u, v), (v, u)):
-            image = {a: x, b: y}
-            if complete(remaining, image, (1 << x) | (1 << y)):
-                return True
-    return False
+        # One placement order per edge (a, b), in sorted edge order: a, b, then
+        # the other vertices by decreasing degree; stored as `_place` wants it,
+        # the earlier neighbors of each position.
+        adj, deg = g.adjacency_sets(), g.degrees()
+        self.pinned_nbrs = []
+        for a, b in sorted(g.edges):
+            rest = sorted((x for x in range(g.n) if x != a and x != b),
+                          key=lambda x: (-deg[x], x))
+            order = [a, b, *rest]
+            pos = {x: i for i, x in enumerate(order)}
+            self.pinned_nbrs.append([[pos[y] for y in adj[x] if pos[y] < i]
+                                     for i, x in enumerate(order)])
 
 
 def _has_pinned_copy(adj: list[int], n: int, pat: _Pattern, u: int, v: int) -> bool:
     """Does the host graph contain a copy of the pattern using edge (u, v)?"""
-    if pat.n > n or not pat.edges:
+    if pat.n > n or not pat.pinned_nbrs:
         return False
     if pat.clique_order:
-        return _complete_pinned(adj, pat, u, v)
-    return _generic_pinned(adj, n, pat, u, v)
+        return next(_cliques(adj, adj[u] & adj[v], pat.clique_order - 2), None) is not None
+    free = [(1 << n) - 1] * (pat.n - 2)
+    return any(
+        _place(adj, [1 << x, 1 << y, *free], nbrs) is not None
+        for nbrs in pat.pinned_nbrs
+        for x, y in ((u, v), (v, u))
+    )
 
 
 def find_witness(n: int, H: Graph, G: Graph,

@@ -18,6 +18,8 @@ from .errors import CapacityError, InputError, ParseError
 Pair = tuple[int, int]
 
 RHO_STAR_MAX_VERTICES = 20
+# Largest vertex count a graph or coloring file header may declare.
+MAX_PARSE_ORDER = 10_000
 
 
 def _normalize_pair(u: int, v: int) -> Pair:
@@ -274,6 +276,7 @@ def union_of_cliques(m: int, s: int) -> Graph:
 #                 1-based ids, u != v.
 # Coloring file:  header "n <N>" (N >= 1), then zero or more lines "r <u> <v>"
 #                 listing the red pairs; unlisted pairs are blue.
+# Both headers are capped at MAX_PARSE_ORDER vertices.
 #
 # Serializers emit edges sorted lexicographically, one trailing newline per
 # line, so serializer output is a parse/serialize fixed point.
@@ -321,6 +324,8 @@ def parse_graph(text: str) -> Graph:
     m = _parse_int(parts[2], "edge count", lineno)
     if n < 0 or m < 0:
         raise ParseError("header counts must be non-negative", lineno)
+    if n > MAX_PARSE_ORDER:
+        raise ParseError(f"vertex count {n} above the cap of {MAX_PARSE_ORDER}", lineno)
     seen: set[Pair] = set()
     for lineno, line in lines:
         if len(seen) == m:
@@ -349,6 +354,8 @@ def parse_coloring(text: str) -> TwoColoring:
     n = _parse_int(parts[1], "order", lineno)
     if n < 1:
         raise ParseError("order must be at least 1", lineno)
+    if n > MAX_PARSE_ORDER:
+        raise ParseError(f"order {n} above the cap of {MAX_PARSE_ORDER}", lineno)
     seen: set[Pair] = set()
     for lineno, line in lines:
         _parse_pair_line(line.split(), "r", n, seen, lineno)

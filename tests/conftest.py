@@ -100,3 +100,15 @@ GRAPHS_UP_TO_3_EDGES = {
     "P3+K2": graph_from_edges(5, [(0, 1), (1, 2), (3, 4)]),
     "3K2": graph_from_edges(6, [(0, 1), (2, 3), (4, 5)]),
 }
+
+
+def naive_has_pinned_copy(col: TwoColoring, color: str, G: Graph, u: int, v: int) -> bool:
+    """Exhaustive search for a copy of G in `color` that maps some edge of G
+    onto the pair {u, v}."""
+    want_red = color == "red"
+    for perm in itertools.permutations(range(col.n), G.n):
+        if all(col.is_red(perm[a], perm[b]) == want_red for a, b in G.edges) and any(
+            {perm[a], perm[b]} == {u, v} for a, b in G.edges
+        ):
+            return True
+    return False

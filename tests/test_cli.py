@@ -4,7 +4,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from ramseykit import cli, construct
 from ramseykit.cli import main
+from ramseykit.errors import ContractViolation
 from ramseykit.graphs import (
     complete_graph,
     parse_coloring,
@@ -237,3 +239,53 @@ class TestDeterminism:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+
+class TestExitCodes:
+    def test_internal_error_exits_3(self, capsys, monkeypatch, k3_file):
+        def broken(*args, **kwargs):
+            raise ContractViolation("residual red graph\ncontains a forbidden clique")
+
+        monkeypatch.setattr(construct, "run_trial", broken)
+        code, out, err = run(capsys, [
+            "construct", "--s", "3", "--G", k3_file, "--n", "5", "--p", "0.5",
+            "--trials", "2", "--seed", "1",
+        ])
+        assert code == 3
+        assert out == ""
+        assert err == ("internal error: ContractViolation: "
+                       "residual red graph contains a forbidden clique\n")
+
+    def test_deep_blue_target_is_not_a_crash(self, capsys, tmp_path):
+        target = tmp_path / "p1200.g"
+        target.write_text(serialize_graph(path_graph(1200)))
+        code, out, _ = run(capsys, [
+            "construct", "--s", "3", "--G", str(target), "--n", "1200", "--p", "0",
+            "--trials", "1", "--seed", "0",
+        ])
+        assert code == 1
+        assert json.loads(out)["reports"][0]["blue_G_status"] == "found"
+
+
+class TestParseCaps:
+    def test_graph_header_cap(self, capsys, monkeypatch, tmp_path, k3_file):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an oversized header must be rejected while parsing")
+
+        monkeypatch.setattr(cli, "ramsey_number", unreachable)
+        big = tmp_path / "big.g"
+        big.write_text("p 1000000000 0\n")
+        code, out, err = run(capsys, ["exact", "--H", str(big), "--G", k3_file])
+        assert (code, out) == (2, "")
+        assert "above the cap of 10000" in err
+
+    def test_coloring_header_cap(self, capsys, monkeypatch, tmp_path):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an oversized header must be rejected while parsing")
+
+        monkeypatch.setattr(cli, "max_edge_disjoint_packing", unreachable)
+        big = tmp_path / "big.col"
+        big.write_text("n 1000000000\n")
+        code, out, err = run(capsys, ["pack", "--coloring", str(big), "--s", "3"])
+        assert (code, out) == (2, "")
+        assert "above the cap of 10000" in err

@@ -1,0 +1,148 @@
+"""The two shared search kernels, `detect._cliques` and `detect._place`:
+independent oracles (itertools, networkx, brute-force pinned copies), depth
+far beyond the recursion limit, and pinned node-budget thresholds.
+"""
+import itertools
+import random
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings, strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
+
+from conftest import GRAPHS_UP_TO_3_EDGES, naive_has_pinned_copy
+from ramseykit import exact
+from ramseykit.detect import _cliques, find_clique, find_copy
+from ramseykit.errors import SearchBudgetExceeded
+from ramseykit.graphs import (
+    TwoColoring,
+    coloring_from_red,
+    complete_graph,
+    cycle_graph,
+    graph_from_edges,
+    path_graph,
+)
+
+
+def random_coloring_local(rng, n, q):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return coloring_from_red(n, [p for p in pairs if rng.random() < q])
+
+
+def random_pattern(rng, max_vertices):
+    v = rng.randint(1, max_vertices)
+    pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+    return graph_from_edges(v, [p for p in pairs if rng.random() < 0.5])
+
+
+def color_graph(col, color):
+    host = nx.Graph()
+    host.add_nodes_from(range(col.n))
+    want_red = color == "red"
+    host.add_edges_from(
+        (u, v) for u in range(col.n) for v in range(u + 1, col.n)
+        if col.is_red(u, v) == want_red
+    )
+    return host
+
+
+class TestCliqueEnumerator:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(0, 9),
+        edge_bits=st.integers(0, 2**36 - 1),
+        cand_bits=st.integers(0, 2**9 - 1),
+        s=st.integers(0, 5),
+    )
+    def test_matches_itertools_in_order(self, n, edge_bits, cand_bits, s):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = {p for i, p in enumerate(pairs) if (edge_bits >> i) & 1}
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        cand = cand_bits & ((1 << n) - 1)
+        inside = [v for v in range(n) if (cand >> v) & 1]
+        want = [
+            c for c in itertools.combinations(inside, s)
+            if all(p in edges for p in itertools.combinations(c, 2))
+        ]
+        assert list(_cliques(adj, cand, s)) == want
+
+    def test_depth_beyond_recursion_limit(self):
+        n = 1500
+        full = (1 << n) - 1
+        adj = [full ^ (1 << v) for v in range(n)]
+        assert next(_cliques(adj, full, n)) == tuple(range(n))
+
+
+class TestPlacementOracles:
+    def test_find_copy_matches_networkx(self):
+        rng = random.Random(2024)
+        for _ in range(150):
+            col = random_coloring_local(rng, rng.randint(3, 8), rng.random())
+            g = random_pattern(rng, 5)
+            for color in ("red", "blue"):
+                emb = find_copy(col, color, g)
+                pattern = nx.Graph()
+                pattern.add_nodes_from(range(g.n))
+                pattern.add_edges_from(g.edges)
+                want = GraphMatcher(color_graph(col, color), pattern).subgraph_is_monomorphic()
+                assert (emb is not None) == want
+                assert emb is None or emb.validates(col, color)
+
+    def test_pinned_copy_matches_brute_force(self):
+        patterns = dict(GRAPHS_UP_TO_3_EDGES)
+        patterns.update({
+            "K4": complete_graph(4),
+            "C4": cycle_graph(4),
+            "K4-e": graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+        })
+        rng = random.Random(7)
+        for _ in range(12):
+            col = random_coloring_local(rng, rng.randint(4, 7), rng.uniform(0.3, 0.8))
+            adj = col.red_adjacency_bits()
+            for name, g in patterns.items():
+                pat = exact._Pattern(g)
+                for u, v in sorted(col.red):
+                    got = exact._has_pinned_copy(adj, col.n, pat, u, v)
+                    assert got == naive_has_pinned_copy(col, "red", g, u, v), (name, u, v)
+
+    def test_find_witness_does_not_call_find_copy(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("find_witness must use the placement kernel directly")
+
+        monkeypatch.setattr(exact, "find_copy", forbidden)
+        assert exact.find_witness(5, complete_graph(3), cycle_graph(4)) is not None
+        assert exact.find_witness(6, complete_graph(3), complete_graph(3)) is None
+
+
+class TestDeepPlacement:
+    def test_blue_path_on_1200_vertices(self):
+        col = TwoColoring(1200)
+        emb = find_copy(col, "blue", path_graph(1200))
+        assert emb is not None and emb.validates(col, "blue")
+
+
+def _budget_instance():
+    rng = random.Random(3)
+    n = 14
+    return coloring_from_red(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    )
+
+
+class TestNodeBudgetThresholds:
+    """Smallest passing node budget for fixed searches; one tick per prefix."""
+
+    @pytest.mark.parametrize("search, need", [
+        (lambda b: find_clique(coloring_from_red(12, complete_graph(12).edges), "red", 12,
+                               node_budget=b), 13),
+        (lambda b: find_clique(_budget_instance(), "red", 4, node_budget=b), 6),
+        (lambda b: find_copy(_budget_instance(), "blue", cycle_graph(6), node_budget=b), 7),
+        (lambda b: find_copy(_budget_instance(), "blue", path_graph(9), node_budget=b), 10),
+    ], ids=["red-K12", "red-K4", "blue-C6", "blue-P9"])
+    def test_smallest_budget(self, search, need):
+        assert search(need) is not None
+        with pytest.raises(SearchBudgetExceeded):
+            search(need - 1)
