@@ -2,16 +2,31 @@
 
 find_witness runs a DFS over the edges of K_n in lexicographic order,
 branching red before blue and pruning a branch as soon as the partially fixed
-red edges contain a copy of H or the blue ones a copy of G.  Every leaf
-reached is therefore a witness coloring (no red H, no blue G), and absence is
-exhaustive.  The convention throughout is red-H (the clique side in all the
-bound formulas) and blue-G.
+red edges contain a copy of H or the blue ones a copy of G.  The convention
+throughout is red-H (the clique side in all the bound formulas) and blue-G.
+
+Only colorings whose red adjacency matrix satisfies the sb_l constraint of
+Codish, Miller, Prosser and Stuckey, "Constraints for symmetry breaking in
+graph representation" (Constraints 24, 2019) are searched: for every pair of
+vertices a < b, red row a is lexicographically at most red row b, comparing
+columns in ascending order, skipping columns a and b, with 0 < 1.  This is
+sound:
+
+- every graph is isomorphic to one whose adjacency matrix satisfies sb_l
+  (Codish et al. 2019);
+- having no red H and no blue G is invariant under relabelling the vertices;
+- a branch is pruned only when a column prefix fixed in both rows already
+  violates sb_l, so every completion of it violates sb_l too.
+
+Every leaf reached is therefore a witness coloring (no red H, no blue G), and
+absence is exhaustive.
 
 Containment checks are incremental: after fixing an edge only copies using
 that edge are searched for, with the two kernels shared with detect.  A
 complete pattern K_t is a (t-2)-clique in the common neighborhood of the
 edge (`_cliques`); any other pattern is placed with one of its edges pinned
-on the new edge (`_place`).
+on the new edge (`_place`).  The lex check is incremental too: only the row
+pairs that contain an endpoint of the new edge can change.
 """
 from __future__ import annotations
 
@@ -67,12 +82,32 @@ def _has_pinned_copy(adj: list[int], n: int, pat: _Pattern, u: int, v: int) -> b
     )
 
 
+def _breaks_lex(red_adj: list[int], blue_adj: list[int], u: int, v: int) -> bool:
+    """After fixing edge (u, v): does a red row pair containing u or v break
+    sb_l on the longest column prefix fixed in both of its rows?"""
+    for x in (u, v):
+        for y in range(len(red_adj)):
+            if y == u or y == v:
+                continue  # pair (u, v) compares neither column u nor column v
+            a, b = (x, y) if x < y else (y, x)
+            skip = (1 << a) | (1 << b)
+            fixed = (red_adj[a] | blue_adj[a]) & (red_adj[b] | blue_adj[b]) | skip
+            prefix = (fixed ^ (fixed + 1)) >> 1
+            diff = (red_adj[a] ^ red_adj[b]) & prefix & ~skip
+            if red_adj[a] & diff & -diff:
+                return True
+    return False
+
+
 def find_witness(n: int, H: Graph, G: Graph,
                  edge_cap: int = DEFAULT_EDGE_CAP) -> TwoColoring | None:
     """First witness coloring of K_n under the red-before-blue DFS, or None.
 
-    When H = G the color of the first edge is fixed red, exploiting the
-    color-swap symmetry of the self-diagonal case.
+    Only colorings whose red adjacency rows satisfy sb_l (row a lex <= row b
+    for every a < b, columns a and b skipped) are visited; since every graph
+    has such a labelling and witnesses stay witnesses under relabelling, None
+    still means that no witness exists (Codish, Miller, Prosser and Stuckey,
+    Constraints 24, 2019).
     """
     if n < 1:
         raise InputError("order must be at least 1")
@@ -87,7 +122,6 @@ def find_witness(n: int, H: Graph, G: Graph,
 
     edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
     pat_h, pat_g = _Pattern(H), _Pattern(G)
-    symmetric = H == G
     red_adj = [0] * n
     blue_adj = [0] * n
     red_pairs: list[tuple[int, int]] = []
@@ -101,7 +135,8 @@ def find_witness(n: int, H: Graph, G: Graph,
         red_adj[u] |= bv
         red_adj[v] |= bu
         red_pairs.append((u, v))
-        if not _has_pinned_copy(red_adj, n, pat_h, u, v):
+        if (not _breaks_lex(red_adj, blue_adj, u, v)
+                and not _has_pinned_copy(red_adj, n, pat_h, u, v)):
             witness = dfs(i + 1)
             if witness is not None:
                 return witness
@@ -109,12 +144,10 @@ def find_witness(n: int, H: Graph, G: Graph,
         red_adj[u] &= ~bv
         red_adj[v] &= ~bu
 
-        if i == 0 and symmetric:
-            return None
-
         blue_adj[u] |= bv
         blue_adj[v] |= bu
-        if not _has_pinned_copy(blue_adj, n, pat_g, u, v):
+        if (not _breaks_lex(red_adj, blue_adj, u, v)
+                and not _has_pinned_copy(blue_adj, n, pat_g, u, v)):
             witness = dfs(i + 1)
             if witness is not None:
                 return witness

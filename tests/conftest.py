@@ -104,11 +104,43 @@ GRAPHS_UP_TO_3_EDGES = {
 
 def naive_has_pinned_copy(col: TwoColoring, color: str, G: Graph, u: int, v: int) -> bool:
     """Exhaustive search for a copy of G in `color` that maps some edge of G
-    onto the pair {u, v}."""
+    onto the pair {u, v}: every edge (a, b) of G, both ways round, with every
+    injective map of the other vertices of G into the rest of K_n."""
     want_red = color == "red"
-    for perm in itertools.permutations(range(col.n), G.n):
-        if all(col.is_red(perm[a], perm[b]) == want_red for a, b in G.edges) and any(
-            {perm[a], perm[b]} == {u, v} for a, b in G.edges
-        ):
-            return True
+    rest = [x for x in range(col.n) if x != u and x != v]
+    for a, b in G.edges:
+        others = [x for x in range(G.n) if x != a and x != b]
+        for x, y in ((u, v), (v, u)):
+            for images in itertools.permutations(rest, len(others)):
+                perm = dict(zip(others, images))
+                perm[a], perm[b] = x, y
+                if all(col.is_red(perm[p], perm[q]) == want_red for p, q in G.edges):
+                    return True
     return False
+
+
+def reference_find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
+    """The exact search with no symmetry breaking, for patterns with at least
+    one edge: a DFS over the edges of K_n in lexicographic order, red before
+    blue, pruning when the color class just extended contains a copy of its
+    pattern through the new edge (checked by `naive_has_pinned_copy`)."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    fixed = {"red": [], "blue": []}
+    pattern = {"red": H, "blue": G}
+
+    def dfs(i: int) -> TwoColoring | None:
+        if i == len(pairs):
+            return TwoColoring(n, frozenset(fixed["red"]))
+        u, v = pairs[i]
+        for color in ("red", "blue"):
+            fixed[color].append((u, v))
+            # The fixed pairs of this color, drawn as the red class of a coloring.
+            color_class = TwoColoring(n, frozenset(fixed[color]))
+            if not naive_has_pinned_copy(color_class, "red", pattern[color], u, v):
+                witness = dfs(i + 1)
+                if witness is not None:
+                    return witness
+            fixed[color].pop()
+        return None
+
+    return dfs(0)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import GRAPHS_UP_TO_3_EDGES, all_colorings
+from conftest import GRAPHS_UP_TO_3_EDGES, all_colorings, reference_find_witness
 from ramseykit.detect import find_copy
 from ramseykit.errors import CapacityError, InputError
 from ramseykit.exact import find_witness, is_witness, ramsey_number
@@ -10,13 +10,45 @@ from ramseykit.graphs import (
     TwoColoring,
     coloring_from_red,
     complete_graph,
+    cycle_graph,
     graph_from_edges,
     path_graph,
     star_graph,
 )
 
 K3 = complete_graph(3)
+C4 = cycle_graph(4)
 RED_C5 = coloring_from_red(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+SB_PATTERNS = {
+    "K2": complete_graph(2),
+    "K3": K3,
+    "P3": path_graph(3),
+    "P4": path_graph(4),
+    "K1_3": star_graph(3),
+    "C4": C4,
+    "paw": graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "K4-e": graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "K4": complete_graph(4),
+    "2K2": graph_from_edges(4, [(0, 1), (2, 3)]),
+}
+
+
+def red_rows_lex_ordered(col: TwoColoring) -> bool:
+    """sb_l on the whole red adjacency matrix: for every a < b, red row a is
+    lexicographically at most red row b, columns a and b left out."""
+    for a, b in itertools.combinations(range(col.n), 2):
+        cols = [c for c in range(col.n) if c != a and c != b]
+        if [col.is_red(a, c) for c in cols] > [col.is_red(b, c) for c in cols]:
+            return False
+    return True
+
+
+def assert_matches_reference(n, H, G):
+    witness = find_witness(n, H, G)
+    assert (witness is not None) == (reference_find_witness(n, H, G) is not None)
+    if witness is not None:
+        assert is_witness(witness, H, G)
+        assert red_rows_lex_ordered(witness)
 
 
 class TestIsWitness:
@@ -85,6 +117,24 @@ class TestFindWitness:
             find_witness(0, K3, K3)
 
 
+class TestSymmetryBreaking:
+    def test_self_pairs_keep_their_witnesses(self):
+        # Fixing the first edge red when H = G does not compose with sb_l: with
+        # both rules these witnesses are lost and r(K3, K3) would come out as 4.
+        assert find_witness(5, K3, K3) is not None
+        assert find_witness(5, C4, C4) is not None
+        # n <= 6 is covered for every pair by test_matches_unbroken_search.
+        for H in SB_PATTERNS.values():
+            assert_matches_reference(7, H, H)
+
+    @pytest.mark.parametrize("h", list(SB_PATTERNS))
+    def test_matches_unbroken_search(self, h):
+        # n stops at 6: the unbroken reference needs minutes for all pairs at 7.
+        for G in SB_PATTERNS.values():
+            for n in range(2, 7):
+                assert_matches_reference(n, SB_PATTERNS[h], G)
+
+
 class TestRamseyNumber:
     def test_r33(self):
         assert ramsey_number(K3, K3, 9) == 6
@@ -97,6 +147,15 @@ class TestRamseyNumber:
 
     def test_above_cap(self):
         assert ramsey_number(K3, K3, 5) is None
+
+    def test_published_values(self):
+        # Chvatal-Harary 1972; Radziszowski, Small Ramsey Numbers (EJC DS1).
+        table = [
+            (K3, C4, 7), (K3, cycle_graph(5), 9), (K3, cycle_graph(6), 11),
+            (K3, complete_graph(4), 9), (C4, C4, 6), (C4, complete_graph(4), 10),
+        ]
+        for H, G, r in table:
+            assert ramsey_number(H, G, r, edge_cap=55) == r
 
     def test_color_swap_symmetry(self):
         pairs = [
