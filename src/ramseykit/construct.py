@@ -24,13 +24,20 @@ from .detect import (
     find_clique,
     find_copy,
     max_edge_disjoint_packing,
+    packing_reaches,
 )
 from .errors import CapacityError, ContractViolation, InputError, SearchBudgetExceeded
 from .graphs import Graph, TwoColoring
 
 BlueStatus = Literal["found", "absent", "unknown"]
 
+# The validator decides X0 >= k per sample by an exact search (worst case
+# exponential in the red clique count), so n is capped like exact packing.
 ERDOS_TETALI_MAX_N = 12
+# Binomial draws per chunk in chernoff_tail_check; numpy draws Bin(m, p) as
+# int64, which bounds m.
+CHERNOFF_CHUNK = 1 << 16
+CHERNOFF_MAX_M = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -198,19 +205,28 @@ def chernoff_tail_check(m: int, p: float, a: float, trials: int,
                         seed: int) -> tuple[float, float]:
     """Empirical frequency of the lower-tail event X - pm < -a for binomial
     X ~ Bin(m, p), against the analytic bound exp(-a^2 / (2pm)).
+
+    The draws come in chunks of CHERNOFF_CHUNK, so memory stays flat in
+    `trials`; successive chunks continue one generator stream, so the counts
+    equal those of a single draw of size `trials`.
     """
-    if m < 1:
-        raise InputError("m must be at least 1")
+    if not 1 <= m <= CHERNOFF_MAX_M:
+        raise InputError(f"m must lie in [1, {CHERNOFF_MAX_M}]")
     if not 0.0 < p < 1.0:
         raise InputError("p must lie strictly between 0 and 1")
-    if a <= 0:
-        raise InputError("a must be positive")
+    if not math.isfinite(a) or a <= 0:
+        raise InputError("a must be positive and finite")
     if trials < 1:
         raise InputError("trials must be positive")
-    xs = np.random.default_rng(seed).binomial(m, p, size=trials)
-    empirical = float(np.count_nonzero(xs - p * m < -a)) / trials
+    if seed < 0:
+        raise InputError("seed must be non-negative")
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for start in range(0, trials, CHERNOFF_CHUNK):
+        xs = rng.binomial(m, p, size=min(CHERNOFF_CHUNK, trials - start))
+        hits += int(np.count_nonzero(xs - p * m < -a))
     bound = math.exp(-a * a / (2.0 * p * m))
-    return empirical, bound
+    return hits / trials, bound
 
 
 def erdos_tetali_check(n: int, p: float, s: int, k: int, trials: int,
@@ -219,10 +235,14 @@ def erdos_tetali_check(n: int, p: float, s: int, k: int, trials: int,
     of edge-disjoint red s-cliques in a random coloring and mu = C(n,s) *
     p^C(s,2) is the expected clique count.
 
-    Uses the exact maximum packing per sample, hence the n cap.
+    Each sample decides X0 >= k with `packing_reaches`, which stops at the
+    k-th edge-disjoint clique instead of computing X0.  Deciding is still an
+    exact search in the worst case, hence the n cap.
     """
     if n > ERDOS_TETALI_MAX_N:
         raise CapacityError(f"exact packing oracle capped at n <= {ERDOS_TETALI_MAX_N}")
+    if n < 0:
+        raise InputError("n must be non-negative")
     if s < 3:
         raise InputError("s must be at least 3")
     if k < 1:
@@ -235,8 +255,7 @@ def erdos_tetali_check(n: int, p: float, s: int, k: int, trials: int,
     hits = 0
     for i in range(trials):
         col = random_coloring(n, p, trial_seed(seed, i))
-        packing = max_edge_disjoint_packing(col, s, "exact")
-        if packing.size >= k:
+        if packing_reaches(col, s, k):
             hits += 1
     bound = (math.e * mu / k) ** k
     return hits / trials, bound

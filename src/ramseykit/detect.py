@@ -7,6 +7,7 @@ are lexicographic throughout so results are reproducible without seeds.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Literal
@@ -230,27 +231,32 @@ def find_copy(col: TwoColoring, color: Color, G: Graph,
 # Edge-disjoint red clique packing
 # ---------------------------------------------------------------------------
 
-def _greedy_packing(adj: list[int], n: int, s: int) -> list[tuple[int, ...]]:
-    """Maximal edge-disjoint packing: each s-clique, in lexicographic order,
-    joins the packing unless one of its pairs is already covered.
+def _greedy_packing(adj: list[int], n: int, s: int) -> Iterator[tuple[int, ...]]:
+    """Maximal edge-disjoint packing, yielded member by member: each s-clique,
+    in lexicographic order, joins the packing unless one of its pairs is
+    already covered.
 
     `used[v]` is the bitmask of vertices w such that the pair {v, w} is
     already covered by an accepted member.
     """
     used = [0] * n
-    members: list[tuple[int, ...]] = []
     for member in _cliques(adj, (1 << n) - 1, s):
         mask = bits_of(member)
         if any(used[u] & mask for u in member):
             continue
-        members.append(member)
+        yield member
         for u in member:
             used[u] |= mask ^ (1 << u)
-    return members
 
 
-def _exact_packing(adj: list[int], n: int, s: int) -> list[tuple[int, ...]]:
-    """Maximum-cardinality edge-disjoint packing by branch and bound."""
+def _exact_packing(adj: list[int], n: int, s: int,
+                   target: int | None = None) -> list[tuple[int, ...]]:
+    """Maximum-cardinality edge-disjoint packing by branch and bound.
+
+    With a `target` k the search decides whether k members fit instead: it
+    stops as soon as it has chosen k cliques and prunes every branch whose
+    bound is below k, so it returns k members when k fit and fewer otherwise.
+    """
     cliques = list(_cliques(adj, (1 << n) - 1, s))
     if not cliques:
         return []
@@ -270,20 +276,27 @@ def _exact_packing(adj: list[int], n: int, s: int) -> list[tuple[int, ...]]:
 
     best: list[tuple[int, ...]] = []
 
-    def rec(i: int, used: int, chosen: list[tuple[int, ...]]):
+    def rec(i: int, used: int, chosen: list[tuple[int, ...]]) -> bool:
+        """Search the cliques from i on; True once `target` members are chosen."""
         nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
+            if len(best) == target:
+                return True
         if i == len(cliques):
-            return
+            return False
+        # The smallest size worth reaching: beyond the best so far, or the target.
+        need = len(best) + 1 if target is None else target
         free = (all_pairs_mask & ~used).bit_count() // per_clique
-        if len(chosen) + min(len(cliques) - i, free) <= len(best):
-            return
+        if len(chosen) + min(len(cliques) - i, free) < need:
+            return False
         if not (masks[i] & used):
             chosen.append(cliques[i])
-            rec(i + 1, used | masks[i], chosen)
+            found = rec(i + 1, used | masks[i], chosen)
             chosen.pop()
-        rec(i + 1, used, chosen)
+            if found:
+                return True
+        return rec(i + 1, used, chosen)
 
     rec(0, 0, [])
     return best
@@ -310,6 +323,36 @@ def max_edge_disjoint_packing(col: TwoColoring, s: int,
     else:
         members = _exact_packing(adj, col.n, s)
     return CliquePacking(s=s, members=tuple(members))
+
+
+def packing_reaches(col: TwoColoring, s: int, k: int) -> bool:
+    """Whether some k red s-cliques of `col` are pairwise edge-disjoint.
+
+    Decides X0 >= k, X0 the maximum packing size, without computing X0.  Three
+    exits come first, each sound on its own: fewer than k * C(s,2) red pairs
+    (False); k members of one lazy greedy pass, which are edge-disjoint (True);
+    fewer than k red s-cliques (False).  Otherwise the exact branch and bound
+    runs with target k.
+    """
+    if s < 2:
+        raise InputError("clique order must be at least 2")
+    if k < 1:
+        raise InputError("k must be at least 1")
+    if col.n > EXACT_PACKING_MAX_N:
+        raise CapacityError(f"exact packing capped at n <= {EXACT_PACKING_MAX_N}")
+    if col.red_count < k * math.comb(s, 2):
+        return False
+    adj = col.red_adjacency_bits()
+    if _count_up_to(_greedy_packing(adj, col.n, s), k) == k:
+        return True
+    if _count_up_to(_cliques(adj, (1 << col.n) - 1, s), k) < k:
+        return False
+    return len(_exact_packing(adj, col.n, s, k)) == k
+
+
+def _count_up_to(items: Iterator, k: int) -> int:
+    """Number of items, counting no further than k."""
+    return sum(1 for _ in itertools.islice(items, k))
 
 
 def max_red_degree_vertex(col: TwoColoring) -> tuple[int, int]:

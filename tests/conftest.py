@@ -5,8 +5,11 @@ that agreement is a real cross-check.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
+from ramseykit.construct import random_coloring, trial_seed
+from ramseykit.detect import max_edge_disjoint_packing
 from ramseykit.graphs import Graph, TwoColoring, graph_from_edges, coloring_from_red
 
 
@@ -57,6 +60,20 @@ def naive_max_packing_size(col: TwoColoring, s: int) -> int:
         return score
 
     return best_from(0, frozenset())
+
+
+def reference_erdos_tetali(n: int, p: float, s: int, k: int, trials: int,
+                            seed: int) -> tuple[float, float]:
+    """The Erdős–Tetali validator loop that computes the maximum packing of
+    every sample and compares its size with k, on the same sample colorings
+    as `construct.erdos_tetali_check`."""
+    hits = 0
+    for i in range(trials):
+        col = random_coloring(n, p, trial_seed(seed, i))
+        if max_edge_disjoint_packing(col, s, "exact").size >= k:
+            hits += 1
+    mu = math.comb(n, s) * p ** math.comb(s, 2)
+    return hits / trials, (math.e * mu / k) ** k
 
 
 def random_connected_graph(rng: random.Random, m: int) -> Graph:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -265,6 +266,27 @@ class TestExitCodes:
         ])
         assert code == 1
         assert json.loads(out)["reports"][0]["blue_G_status"] == "found"
+
+
+class TestStatsInputErrors:
+    @pytest.mark.parametrize("flag, value", [
+        ("--a", "nan"), ("--a", "inf"), ("--p", "nan"), ("--p", "inf"),
+        ("--seed", "-1"), ("--m", str(10**23)),
+    ])
+    def test_chernoff_exits_2(self, capsys, flag, value):
+        argv = {"--m": "100", "--p": "0.2", "--a": "5", "--trials": "10", "--seed": "3"}
+        argv[flag] = value
+        code, out, err = run(capsys, ["stats", "chernoff", *itertools.chain(*argv.items())])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_erdos_tetali_negative_n_exits_2(self, capsys):
+        code, out, err = run(capsys, [
+            "stats", "erdos-tetali", "--n", "-3", "--p", "0.5", "--s", "3",
+            "--k", "1", "--trials", "10", "--seed", "0",
+        ])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestParseCaps:

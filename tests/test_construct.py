@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 from math import comb
 
+import numpy as np
 import pytest
 
+from conftest import reference_erdos_tetali
 from ramseykit.construct import (
+    CHERNOFF_CHUNK,
     ConstructParams,
     chernoff_tail_check,
     construct_witness,
@@ -211,6 +215,34 @@ class TestChernoff:
         with pytest.raises(InputError):
             chernoff_tail_check(10, 0.5, 0, 10, 0)
 
+    @pytest.mark.parametrize("m, p, a, seed", [
+        (10, math.nan, 1.0, 0),
+        (10, 0.5, math.nan, 0),
+        (10, 0.5, math.inf, 0),
+        (10, 0.5, 1.0, -1),
+        (10**23, 0.5, 1.0, 0),
+    ], ids=["p-nan", "a-nan", "a-inf", "seed-negative", "m-beyond-int64"])
+    def test_rejects_out_of_domain_inputs(self, m, p, a, seed):
+        with pytest.raises(InputError):
+            chernoff_tail_check(m, p, a, 10, seed)
+
+    @pytest.mark.parametrize("m, p, a", [(1000, 0.1, 30.0), (100, 0.3, 15.0), (10, 0.5, 0.1)])
+    def test_chunked_draws_match_one_shot(self, m, p, a):
+        trials = 3 * CHERNOFF_CHUNK + 7
+        xs = np.random.default_rng(5).binomial(m, p, size=trials)
+        want = np.count_nonzero(xs - p * m < -a) / trials
+        assert chernoff_tail_check(m, p, a, trials, 5)[0] == want
+
+    def test_memory_flat_in_trials(self):
+        tracemalloc.start()
+        try:
+            chernoff_tail_check(1000, 0.1, 30.0, 10**6, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A single draw of 10^6 int64 counts alone takes 8 MB.
+        assert peak < 4 * 2**20
+
 
 class TestErdosTetali:
     def test_p0(self):
@@ -231,3 +263,19 @@ class TestErdosTetali:
     def test_cap(self):
         with pytest.raises(CapacityError):
             erdos_tetali_check(13, 0.5, 3, 1, 10, 0)
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(InputError):
+            erdos_tetali_check(-3, 0.5, 3, 1, 10, 0)
+
+    # p = 1 runs at n = 9 and 8: the reference's maximum packing of K_n does
+    # not finish in minutes for n >= 10 (s = 3).  All p = 1 samples are K_n.
+    @pytest.mark.parametrize("n, p, s, trials", [
+        (12, 0.0, 3, 40), (12, 0.0, 4, 40), (12, 0.3, 3, 100), (12, 0.3, 4, 100),
+        (9, 1.0, 3, 2), (8, 1.0, 4, 2),
+    ])
+    def test_matches_maximum_packing_loop(self, n, p, s, trials):
+        # The last k lies above the clique count of every sample.
+        for k in (1, 2, 3, 5, comb(n, s) + 1):
+            got = erdos_tetali_check(n, p, s, k, trials, 7)
+            assert got == reference_erdos_tetali(n, p, s, k, trials, 7), k

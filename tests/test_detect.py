@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_colorings,
@@ -11,10 +12,12 @@ from conftest import (
 )
 from ramseykit.detect import (
     EmbeddingMap,
+    _exact_packing,
     find_clique,
     find_copy,
     max_edge_disjoint_packing,
     max_red_degree_vertex,
+    packing_reaches,
 )
 from ramseykit.errors import CapacityError, InputError, SearchBudgetExceeded
 from ramseykit.graphs import (
@@ -195,6 +198,79 @@ class TestPacking:
             max_edge_disjoint_packing(TwoColoring(4), 1)
         with pytest.raises(InputError):
             max_edge_disjoint_packing(TwoColoring(4), 3, "fast")
+
+
+def is_red_packing(col, s, members):
+    """Every member is a red s-clique and no pair is covered twice."""
+    seen = set()
+    for member in members:
+        if len(set(member)) != s:
+            return False
+        for pair in itertools.combinations(sorted(member), 2):
+            if not col.is_red(*pair) or pair in seen:
+                return False
+            seen.add(pair)
+    return True
+
+
+class TestPackingDecision:
+    """`packing_reaches(col, s, k)` decides X0 >= k, X0 the maximum packing size."""
+
+    def test_matches_naive_maximum_on_seeded_colorings(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            col = random_coloring_local(rng, rng.randint(1, 8), rng.uniform(0.2, 0.9))
+            for s in (3, 4):
+                x0 = naive_max_packing_size(col, s)
+                for k in range(1, 6):
+                    assert packing_reaches(col, s, k) == (x0 >= k), (col.red, s, k)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        edge_bits=st.integers(0, 2**21 - 1),
+        s=st.sampled_from([3, 4]),
+        k=st.integers(1, 5),
+    )
+    def test_matches_naive_maximum(self, n, edge_bits, s, k):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        col = coloring_from_red(n, [p for i, p in enumerate(pairs) if (edge_bits >> i) & 1])
+        assert packing_reaches(col, s, k) == (naive_max_packing_size(col, s) >= k)
+
+    @pytest.mark.parametrize("n, red, s, k, want", [
+        # Exactly k * C(s,2) red pairs: the edge-count exit must not fire.
+        (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], 3, 2, True),
+        (4, complete_graph(4).edges, 4, 1, True),
+        # Enough pairs, but every two triangles of K_4 share an edge.
+        (4, complete_graph(4).edges, 3, 2, False),
+        # Greedy stops at 2 members (012, 235); 013, 124, 235 fit.
+        (6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4), (2, 3), (2, 5),
+             (3, 5)], 3, 3, True),
+    ])
+    def test_boundary_instances(self, n, red, s, k, want):
+        col = coloring_from_red(n, red)
+        assert (naive_max_packing_size(col, s) >= k) == want
+        assert packing_reaches(col, s, k) == want
+
+    def test_target_search_stops_at_k(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            col = random_coloring_local(rng, rng.randint(4, 8), rng.uniform(0.3, 0.9))
+            adj = col.red_adjacency_bits()
+            x0 = naive_max_packing_size(col, 3)
+            assert len(_exact_packing(adj, col.n, 3)) == x0
+            for k in range(1, x0 + 3):
+                members = _exact_packing(adj, col.n, 3, k)
+                assert is_red_packing(col, 3, members)
+                assert len(members) == k if k <= x0 else len(members) < k
+
+    def test_invalid_inputs(self):
+        with pytest.raises(InputError):
+            packing_reaches(TwoColoring(4), 1, 1)
+        with pytest.raises(InputError):
+            packing_reaches(TwoColoring(4), 3, 0)
+        with pytest.raises(CapacityError):
+            packing_reaches(TwoColoring(13), 3, 1)
 
 
 class TestMaxRedDegree:
