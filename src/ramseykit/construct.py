@@ -11,23 +11,23 @@ post-recoloring coloring has no blue G is a witness that r(K_s, G) > n.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .detect import (
     CliquePacking,
+    check_node_budget,
     find_clique,
     find_copy,
     max_edge_disjoint_packing,
     packing_reaches,
 )
 from .errors import CapacityError, ContractViolation, InputError, SearchBudgetExceeded
-from .graphs import Graph, TwoColoring
+from .graphs import MAX_PARSE_ORDER, Graph, TwoColoring
 
 BlueStatus = Literal["found", "absent", "unknown"]
 
@@ -67,6 +67,7 @@ class ConstructParams:
             raise InputError("p must lie in [0, 1]")
         if self.n_override is not None and self.n_override < 1:
             raise InputError("n must be positive")
+        check_node_budget(self.node_budget)
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,9 @@ def recolor_packing(col: TwoColoring, s: int) -> tuple[TwoColoring, CliquePackin
     if s < 3:
         raise InputError("s must be at least 3")
     packing = max_edge_disjoint_packing(col, s, "greedy")
-    recolored = TwoColoring(col.n, col.red - frozenset(packing.pairs()))
+    recolored = col.recolor_blue(
+        pair for member in packing.members for pair in itertools.combinations(member, 2)
+    )
     return recolored, packing
 
 
@@ -185,6 +188,9 @@ def construct_witness(params: ConstructParams, G: Graph,
     if G.n < 1:
         raise InputError("target graph must be nonempty")
     n, p = _resolve_n_p(params)
+    # Trial colorings are written to files that parse_coloring must read back.
+    if n > MAX_PARSE_ORDER:
+        raise CapacityError(f"order {n} above the cap of {MAX_PARSE_ORDER}")
     if not 0.0 <= p <= 1.0:
         raise InputError("resolved p lies outside [0, 1]")
 
@@ -220,6 +226,9 @@ def chernoff_tail_check(m: int, p: float, a: float, trials: int,
         raise InputError("trials must be positive")
     if seed < 0:
         raise InputError("seed must be non-negative")
+    # numpy is imported here, its one use, so importing the CLI stays light.
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     hits = 0
     for start in range(0, trials, CHERNOFF_CHUNK):

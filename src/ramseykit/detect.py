@@ -74,6 +74,12 @@ class EmbeddingMap:
         return True
 
 
+def check_node_budget(node_budget: int | None) -> None:
+    """A given node budget must allow at least one node."""
+    if node_budget is not None and node_budget < 1:
+        raise InputError(f"node budget must be at least 1, got {node_budget}")
+
+
 class _NodeCounter:
     __slots__ = ("count", "budget")
 
@@ -190,6 +196,7 @@ def find_clique(col: TwoColoring, color: Color, s: int,
     """
     if s < 1:
         raise InputError("clique order must be at least 1")
+    check_node_budget(node_budget)
     if s > col.n:
         return None
     adj = color_adjacency_bits(col, color)
@@ -210,6 +217,7 @@ def find_copy(col: TwoColoring, color: Color, G: Graph,
     Absence is exact unless the node budget runs out, which raises
     SearchBudgetExceeded instead of returning None.
     """
+    check_node_budget(node_budget)
     n, vg = col.n, G.n
     if vg > n:
         return None
@@ -232,21 +240,54 @@ def find_copy(col: TwoColoring, color: Color, G: Graph,
 # ---------------------------------------------------------------------------
 
 def _greedy_packing(adj: list[int], n: int, s: int) -> Iterator[tuple[int, ...]]:
-    """Maximal edge-disjoint packing, yielded member by member: each s-clique,
-    in lexicographic order, joins the packing unless one of its pairs is
-    already covered.
+    """Maximal edge-disjoint packing, yielded member by member: each s-clique
+    (s >= 2), in lexicographic order, joins the packing unless one of its
+    pairs is already covered.
 
-    `used[v]` is the bitmask of vertices w such that the pair {v, w} is
-    already covered by an accepted member.
+    The search runs on `live`, the rows of `adj` minus the covered pairs, so
+    it never lists a clique it would reject.  It yields the same members as
+    filtering every clique: member i + 1 of the filter is the least clique of
+    `live` after members 1..i, because covered pairs only grow (a clique
+    rejected once stays rejected, and one before member i that was still in
+    `live` would have joined before it).  After a member (u0, u1, ..., v) is
+    yielded, its pairs leave `live` and the search resumes at depth 1 under
+    u0: every prefix of the member of length >= 2 now holds a covered pair,
+    and the untried second vertices, all above u1, are masked with live[u0].
+    Deeper levels are rebuilt from `live` as the search descends, so the next
+    clique reached is the least clique of `live` above the last member.
     """
-    used = [0] * n
-    for member in _cliques(adj, (1 << n) - 1, s):
-        mask = bits_of(member)
-        if any(used[u] & mask for u in member):
+    live = list(adj)
+    prefix: list[int] = []
+    # rests[d]: candidates for position d not yet tried, all above prefix[d - 1]
+    # and adjacent in `live` to every vertex of the prefix.
+    rests = [(1 << n) - 1]
+    while True:
+        rest = rests[-1]
+        if not rest:
+            if not prefix:
+                return
+            rests.pop()
+            prefix.pop()
             continue
-        yield member
-        for u in member:
-            used[u] |= mask ^ (1 << u)
+        low = rest & -rest
+        rest ^= low
+        rests[-1] = rest
+        v = low.bit_length() - 1
+        depth = len(prefix) + 1
+        if depth == s:
+            member = (*prefix, v)
+            yield member
+            mask = bits_of(member)
+            for u in member:
+                live[u] &= ~mask
+            u0 = prefix[0]
+            del prefix[1:], rests[2:]
+            rests[1] &= live[u0]
+            continue
+        rest &= live[v]
+        if depth + rest.bit_count() >= s:
+            prefix.append(v)
+            rests.append(rest)
 
 
 def _exact_packing(adj: list[int], n: int, s: int,

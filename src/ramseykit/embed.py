@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .bitset import bits_of, iter_bits
-from .detect import EmbeddingMap, find_clique, max_red_degree_vertex
+from .detect import EmbeddingMap, check_node_budget, find_clique, max_red_degree_vertex
 from .errors import ContractViolation, EmbedFailure, InputError, SearchBudgetExceeded
 from .graphs import Graph, TwoColoring, induced_coloring
 
@@ -125,6 +125,7 @@ def embed_general(col: TwoColoring, G: Graph, s: int, c1: float = 1.0,
     """
     if s < 3:
         raise InputError("s must be at least 3")
+    check_node_budget(node_budget)
     _check_no_isolated(G)
     if find_clique(col, "red", s) is not None:
         raise InputError(f"coloring contains a red clique of order {s}")

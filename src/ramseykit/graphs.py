@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, InputError, ParseError
@@ -166,17 +167,41 @@ class TwoColoring:
     def is_blue(self, u: int, v: int) -> bool:
         return u != v and _normalize_pair(u, v) not in self.red
 
-    def red_adjacency_bits(self) -> list[int]:
+    @cached_property
+    def _red_rows(self) -> tuple[int, ...]:
         adj = [0] * self.n
         for u, v in self.red:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return adj
+        return tuple(adj)
+
+    def red_adjacency_bits(self) -> list[int]:
+        """Bitmask of each vertex's red neighbours.  The rows are built from
+        `red` once per coloring and kept; each call returns a fresh list."""
+        return list(self._red_rows)
 
     def blue_adjacency_bits(self) -> list[int]:
         full = (1 << self.n) - 1
-        red = self.red_adjacency_bits()
+        red = self._red_rows
         return [full & ~(red[v] | (1 << v)) for v in range(self.n)]
+
+    def recolor_blue(self, pairs: Iterable[Pair]) -> TwoColoring:
+        """This coloring with the red `pairs` recolored blue.
+
+        The result is derived, not rebuilt: its red set is a subset of this
+        coloring's validated red set, so it needs no second validation, and
+        its red rows are these rows with the pairs cleared.
+        """
+        flipped = {(u, v) if u < v else (v, u) for u, v in pairs}
+        if not flipped <= self.red:
+            raise InputError("only red pairs can be recolored blue")
+        rows = list(self._red_rows)
+        for u, v in flipped:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        out = object.__new__(TwoColoring)
+        out.__dict__.update(n=self.n, red=self.red - flipped, _red_rows=tuple(rows))
+        return out
 
 
 def coloring_from_red(n: int, pairs: Iterable[tuple[int, int]]) -> TwoColoring:

@@ -62,6 +62,19 @@ def naive_max_packing_size(col: TwoColoring, s: int) -> int:
     return best_from(0, frozenset())
 
 
+def reference_greedy_packing(col: TwoColoring, s: int) -> list[tuple[int, ...]]:
+    """The greedy packing by definition: every s-subset in lexicographic order
+    joins when all its pairs are red and none is covered by an earlier member."""
+    covered: set[tuple[int, int]] = set()
+    members = []
+    for combo in itertools.combinations(range(col.n), s):
+        pairs = list(itertools.combinations(combo, 2))
+        if all(col.is_red(u, v) and (u, v) not in covered for u, v in pairs):
+            members.append(combo)
+            covered.update(pairs)
+    return members
+
+
 def reference_erdos_tetali(n: int, p: float, s: int, k: int, trials: int,
                             seed: int) -> tuple[float, float]:
     """The Erdős–Tetali validator loop that computes the maximum packing of

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -287,6 +290,51 @@ class TestStatsInputErrors:
         ])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestConstructAndEmbedInputErrors:
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_construct_node_budget_below_1_exits_2(self, capsys, k3_file, budget):
+        code, out, err = run(capsys, [
+            "construct", "--s", "3", "--G", k3_file, "--n", "6", "--p", "0.5",
+            "--trials", "3", "--seed", "1", "--node-budget", budget,
+        ])
+        assert (code, out) == (2, "")
+        assert "node budget must be at least 1" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_embed_node_budget_below_1_exits_2(self, capsys, tmp_path, budget):
+        col_file = tmp_path / "c.col"
+        col_file.write_text(serialize_coloring(coloring_from_red(12, [(0, 1)])))
+        g_file = tmp_path / "p5.g"
+        g_file.write_text(serialize_graph(path_graph(5)))
+        code, out, err = run(capsys, [
+            "embed", "--coloring", str(col_file), "--G", str(g_file), "--s", "3",
+            "--node-budget", budget,
+        ])
+        assert (code, out) == (2, "")
+        assert "node budget must be at least 1" in err
+
+    def test_construct_order_cap(self, capsys, monkeypatch, k3_file):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an order above the cap must be rejected before drawing")
+
+        monkeypatch.setattr(construct, "random_coloring", unreachable)
+        code, out, err = run(capsys, [
+            "construct", "--s", "3", "--G", k3_file, "--n", "10001", "--p", "0",
+            "--trials", "1", "--seed", "0",
+        ])
+        assert (code, out) == (2, "")
+        assert "above the cap of 10000" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, ramseykit.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestParseCaps:

@@ -19,7 +19,7 @@ from ramseykit.construct import (
 )
 from ramseykit.detect import find_clique, find_copy
 from ramseykit.errors import CapacityError, InputError
-from ramseykit.graphs import TwoColoring, coloring_from_red, complete_graph
+from ramseykit.graphs import MAX_PARSE_ORDER, TwoColoring, coloring_from_red, complete_graph
 
 
 def exact_binomial_lower_tail(m: int, p: float, a: float) -> float:
@@ -179,6 +179,18 @@ class TestConstructWitness:
             ConstructParams(s=3, m=10, trials=0, seed=0)
         with pytest.raises(InputError):
             ConstructParams(s=3, m=10, p_override=1.5, trials=1, seed=0)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_node_budget_below_1(self, budget):
+        with pytest.raises(InputError):
+            ConstructParams(s=3, m=10, trials=1, seed=0, node_budget=budget)
+
+    def test_order_cap(self):
+        for params in (ConstructParams(s=3, m=10**12, trials=1, seed=0),
+                       ConstructParams(s=3, m=3, n_override=MAX_PARSE_ORDER + 1,
+                                       p_override=0.0, trials=1, seed=0)):
+            with pytest.raises(CapacityError):
+                construct_witness(params, complete_graph(3))
 
 
 class TestTrialSeed:

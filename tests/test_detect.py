@@ -9,7 +9,9 @@ from conftest import (
     naive_find_copy,
     naive_has_clique,
     naive_max_packing_size,
+    reference_greedy_packing,
 )
+from ramseykit.construct import recolor_packing
 from ramseykit.detect import (
     EmbeddingMap,
     _exact_packing,
@@ -133,6 +135,13 @@ class TestFindCopy:
         with pytest.raises(SearchBudgetExceeded):
             find_copy(col, "blue", complete_graph(8), node_budget=2)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_1_rejected(self, budget):
+        with pytest.raises(InputError):
+            find_copy(TwoColoring(4), "blue", complete_graph(2), node_budget=budget)
+        with pytest.raises(InputError):
+            find_clique(TwoColoring(4), "blue", 2, node_budget=budget)
+
 
 class TestPacking:
     def test_all_red_k4(self):
@@ -211,6 +220,44 @@ def is_red_packing(col, s, members):
                 return False
             seen.add(pair)
     return True
+
+
+class TestGreedyPacking:
+    """The greedy search on the uncovered red graph against the greedy by
+    definition (`conftest.reference_greedy_packing`)."""
+
+    # Largest n per s keeps the reference's C(n, s) subsets in the 10^5 range.
+    @pytest.mark.parametrize("s, max_n", [(2, 40), (3, 40), (4, 40), (5, 26)])
+    def test_matches_reference_on_seeded_colorings(self, s, max_n):
+        rng = random.Random(100 + s)
+        for _ in range(12):
+            p = 1.0 if rng.random() < 0.25 else rng.uniform(0.1, 0.9)
+            col = random_coloring_local(rng, rng.randint(s, max_n), p)
+            got = max_edge_disjoint_packing(col, s).members
+            assert list(got) == reference_greedy_packing(col, s), (col.n, sorted(col.red))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        edge_bits=st.integers(0, 2**45 - 1),
+        s=st.integers(2, 5),
+    )
+    def test_greedy_properties(self, n, edge_bits, s):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        col = coloring_from_red(n, [p for i, p in enumerate(pairs) if (edge_bits >> i) & 1])
+        members = max_edge_disjoint_packing(col, s).members
+        assert list(members) == reference_greedy_packing(col, s)
+        assert is_red_packing(col, s, members)
+        covered = {pair for m in members for pair in itertools.combinations(m, 2)}
+        for combo in itertools.combinations(range(n), s):
+            clique_pairs = list(itertools.combinations(combo, 2))
+            if all(col.is_red(u, v) for u, v in clique_pairs):
+                assert covered.intersection(clique_pairs), f"{combo} could still join"
+        if s >= 3:
+            residual, packing = recolor_packing(col, s)
+            assert packing.members == members
+            assert residual.red == col.red - covered
+            assert not naive_has_clique(residual, "red", s)
 
 
 class TestPackingDecision:

@@ -59,6 +59,16 @@ class TestTypes:
         with pytest.raises(InputError):
             coloring_from_red(4, [(0, 4)])
 
+    def test_recolor_blue(self):
+        col = coloring_from_red(5, [(0, 1), (1, 3), (2, 4), (3, 4)])
+        out = col.recolor_blue([(3, 1), (2, 4)])
+        rebuilt = coloring_from_red(5, [(0, 1), (3, 4)])
+        assert out == rebuilt and col.red_count == 4
+        assert out.red_adjacency_bits() == rebuilt.red_adjacency_bits()
+        assert out.blue_adjacency_bits() == rebuilt.blue_adjacency_bits()
+        with pytest.raises(InputError):
+            col.recolor_blue([(0, 2)])
+
     def test_components(self):
         g = graph_from_edges(6, [(0, 1), (1, 2), (4, 5)])
         assert g.components() == [[0, 1, 2], [3], [4, 5]]
