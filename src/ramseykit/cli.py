@@ -8,7 +8,8 @@ for input errors, 3 for internal errors (a broken contract, an exhausted
 search budget, any other uncaught exception), reported as one stderr line
 "internal error: <type>: <message>" with nothing on stdout.  All output is
 deterministic given the full flag set; one --seed flag governs all
-randomness and --threads never changes bytes.
+randomness.  `construct --threads` is accepted and ignored, so it never
+changes bytes.
 """
 from __future__ import annotations
 
@@ -221,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", type=str, default=None, help="directory for per-trial coloring files")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: trials run in order on one thread")
     p.add_argument("--node-budget", type=int, default=None)
     p.set_defaults(func=cmd_construct)
 

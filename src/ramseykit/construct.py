@@ -11,10 +11,8 @@ post-recoloring coloring has no blue G is a witness that r(K_s, G) > n.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
@@ -103,25 +101,28 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def _draw_red_pairs(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
-    # One uniform draw per pair, in lexicographic pair order, so a coloring is
-    # fully determined by (n, p, seed).
-    draw = rng.random
-    return [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if draw() < p
-    ]
-
-
 def random_coloring(n: int, p: float, seed: int) -> TwoColoring:
-    """Each of the n(n-1)/2 pairs is red independently with probability p."""
+    """Each of the n(n-1)/2 pairs is red independently with probability p.
+
+    One uniform draw per pair, in lexicographic pair order, so a coloring is
+    fully determined by (n, p, seed).  Each red draw sets its two bits of the
+    red rows directly.
+    """
     if n < 0:
         raise InputError("order must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise InputError("p must lie in [0, 1]")
-    return TwoColoring(n, frozenset(_draw_red_pairs(n, p, random.Random(seed))))
+    draw = random.Random(seed).random
+    bits = [1 << v for v in range(n)]
+    rows = [0] * n
+    for u in range(n):
+        row, bit = rows[u], bits[u]
+        for v in range(u + 1, n):
+            if draw() < p:
+                row |= bits[v]
+                rows[v] |= bit
+        rows[u] = row
+    return TwoColoring._from_rows(rows)
 
 
 def recolor_packing(col: TwoColoring, s: int) -> tuple[TwoColoring, CliquePacking]:
@@ -133,9 +134,7 @@ def recolor_packing(col: TwoColoring, s: int) -> tuple[TwoColoring, CliquePackin
     if s < 3:
         raise InputError("s must be at least 3")
     packing = max_edge_disjoint_packing(col, s, "greedy")
-    recolored = col.recolor_blue(
-        pair for member in packing.members for pair in itertools.combinations(member, 2)
-    )
+    recolored = col.recolor_blue(packing.members)
     return recolored, packing
 
 
@@ -182,8 +181,9 @@ def construct_witness(params: ConstructParams, G: Graph,
                       threads: int = 1) -> list[TrialReport]:
     """Run `params.trials` independent trials; reports come back in trial order.
 
-    Per-trial randomness derives from (seed, trial index), so the report list
-    is identical no matter how many threads execute the trials.
+    Per-trial randomness derives from (seed, trial index).  `threads` is
+    accepted and ignored: the trials are pure Python, and a thread pool ran
+    them slower than one thread under the interpreter lock.
     """
     if G.n < 1:
         raise InputError("target graph must be nonempty")
@@ -193,14 +193,7 @@ def construct_witness(params: ConstructParams, G: Graph,
         raise CapacityError(f"order {n} above the cap of {MAX_PARSE_ORDER}")
     if not 0.0 <= p <= 1.0:
         raise InputError("resolved p lies outside [0, 1]")
-
-    def run(i: int) -> TrialReport:
-        return run_trial(params, G, n, p, i)
-
-    if threads <= 1:
-        return [run(i) for i in range(params.trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, range(params.trials)))
+    return [run_trial(params, G, n, p, i) for i in range(params.trials)]
 
 
 # ---------------------------------------------------------------------------

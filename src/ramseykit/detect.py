@@ -228,7 +228,8 @@ def find_copy(col: TwoColoring, color: Color, G: Graph,
     order = sorted(range(vg), key=lambda g: (-gdeg[g], g))
     pos = {g: i for i, g in enumerate(order)}
     placed_nbrs = [[pos[h] for h in gadj[g] if pos[h] < i] for i, g in enumerate(order)]
-    deg_mask = [bits_of(w for w in range(n) if host_deg[w] >= gdeg[g]) for g in order]
+    at_least = {d: bits_of(w for w in range(n) if host_deg[w] >= d) for d in set(gdeg)}
+    deg_mask = [at_least[gdeg[g]] for g in order]
     image = _place(adj, deg_mask, placed_nbrs, _NodeCounter(node_budget))
     if image is None:
         return None
@@ -277,7 +278,9 @@ def _greedy_packing(adj: list[int], n: int, s: int) -> Iterator[tuple[int, ...]]
         if depth == s:
             member = (*prefix, v)
             yield member
-            mask = bits_of(member)
+            mask = low
+            for u in prefix:
+                mask |= 1 << u
             for u in member:
                 live[u] &= ~mask
             u0 = prefix[0]

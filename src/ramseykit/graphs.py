@@ -2,7 +2,8 @@
 
 Graphs are simple and undirected with contiguous 0-based vertex ids; edges are
 stored as normalized pairs (u, v) with u < v.  A TwoColoring is a red/blue
-partition of all edges of K_n: the red set is stored, blue is the exact
+partition of all edges of K_n: its red adjacency bitmask rows are stored, the
+red pair set is derived from them on first use, and blue is the exact
 complement.  Densities are exact rationals so that comparisons feeding the
 exponent formulas never suffer float noise.
 """
@@ -14,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .bitset import iter_bits
 from .errors import CapacityError, InputError, ParseError
 
 Pair = tuple[int, int]
@@ -131,77 +133,116 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwoColoring:
-    """Red/blue coloring of the edges of K_n; red stored, blue implied."""
+    """Red/blue coloring of the edges of K_n.
+
+    The red adjacency rows are the canonical state: bit v of row u is set iff
+    the pair {u, v} is red, and blue is the complement.  The constructor
+    validates a pair set and builds the rows from it; `random_coloring` and
+    `recolor_blue` build rows directly (`_from_rows`) and hold no pair set.
+    `red`, the set of red pairs (u, v) with u < v, is then derived from the
+    rows on first use and kept.
+    """
 
     n: int
-    red: frozenset[Pair] = frozenset()
+    red_count: int
+    _rows: tuple[int, ...]
+
+    def __init__(self, n: int, red: Iterable[Pair] = frozenset()):
+        self.__dict__.update(n=n, red=red)
+        self.__post_init__()
 
     def __post_init__(self):
-        if self.n < 0:
+        """Validate the pairs given to the constructor and build the rows.
+
+        A method of its own so that `perfbench/tracing.py` can time it by name.
+        """
+        n = self.n
+        if n < 0:
             raise InputError("order must be non-negative")
         red = frozenset((int(u), int(v)) for u, v in self.red)
-        object.__setattr__(self, "red", red)
+        rows = [0] * n
         for u, v in red:
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise InputError(f"pair ({u}, {v}) not normalized within 0..{self.n - 1}")
+            if not (0 <= u < v < n):
+                raise InputError(f"pair ({u}, {v}) not normalized within 0..{n - 1}")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        self.__dict__.update(red=red, red_count=len(red), _rows=tuple(rows))
+
+    @classmethod
+    def _from_rows(cls, rows: list[int]) -> TwoColoring:
+        """The coloring of K_len(rows) whose red rows are `rows`.
+
+        The caller guarantees symmetry (bit v of row u iff bit u of row v); an
+        O(n) check rejects a bit outside 0..n-1 or on the diagonal.
+        """
+        n = len(rows)
+        outside = -1 << n
+        ends = 0
+        for u, row in enumerate(rows):
+            if row & outside or row >> u & 1:
+                raise InputError(f"red row {u} has a bit outside 0..{n - 1} or at {u}")
+            ends += row.bit_count()
+        out = object.__new__(cls)
+        out.__dict__.update(n=n, red_count=ends // 2, _rows=tuple(rows))
+        return out
+
+    @cached_property
+    def red(self) -> frozenset[Pair]:
+        return frozenset(
+            (u, v) for u, row in enumerate(self._rows) for v in iter_bits(row & (-1 << (u + 1)))
+        )
 
     @property
     def total_pairs(self) -> int:
         return self.n * (self.n - 1) // 2
 
     @property
-    def red_count(self) -> int:
-        return len(self.red)
-
-    @property
     def blue_count(self) -> int:
-        return self.total_pairs - len(self.red)
+        return self.total_pairs - self.red_count
 
     def is_red(self, u: int, v: int) -> bool:
-        return _normalize_pair(u, v) in self.red
+        # Both ids are range-checked: a negative index would read another row.
+        return 0 <= u < self.n and 0 <= v < self.n and self._rows[u] >> v & 1 == 1
 
     def is_blue(self, u: int, v: int) -> bool:
-        return u != v and _normalize_pair(u, v) not in self.red
-
-    @cached_property
-    def _red_rows(self) -> tuple[int, ...]:
-        adj = [0] * self.n
-        for u, v in self.red:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return tuple(adj)
+        return u != v and not self.is_red(u, v)
 
     def red_adjacency_bits(self) -> list[int]:
-        """Bitmask of each vertex's red neighbours.  The rows are built from
-        `red` once per coloring and kept; each call returns a fresh list."""
-        return list(self._red_rows)
+        """Bitmask of each vertex's red neighbours, as a fresh list."""
+        return list(self._rows)
 
     def blue_adjacency_bits(self) -> list[int]:
         full = (1 << self.n) - 1
-        red = self._red_rows
+        red = self._rows
         return [full & ~(red[v] | (1 << v)) for v in range(self.n)]
 
-    def recolor_blue(self, pairs: Iterable[Pair]) -> TwoColoring:
-        """This coloring with the red `pairs` recolored blue.
+    def recolor_blue(self, cliques: Iterable[Sequence[int]]) -> TwoColoring:
+        """This coloring with every pair inside each of `cliques` recolored blue.
 
-        The result is derived, not rebuilt: its red set is a subset of this
-        coloring's validated red set, so it needs no second validation, and
-        its red rows are these rows with the pairs cleared.
+        A pair is a 2-clique.  Every pair of every clique must be red when its
+        clique is reached, so a pair shared by two cliques, a repeated or
+        out-of-range vertex, or a blue pair raises InputError.  The result's
+        rows are these rows with one vertex mask cleared per clique member.
         """
-        flipped = {(u, v) if u < v else (v, u) for u, v in pairs}
-        if not flipped <= self.red:
-            raise InputError("only red pairs can be recolored blue")
-        rows = list(self._red_rows)
-        for u, v in flipped:
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-        out = object.__new__(TwoColoring)
-        out.__dict__.update(n=self.n, red=self.red - flipped, _red_rows=tuple(rows))
-        return out
+        n = self.n
+        rows = list(self._rows)
+        for clique in cliques:
+            mask = 0
+            for v in clique:
+                if not 0 <= v < n:
+                    raise InputError(f"vertex {v} out of range 0..{n - 1}")
+                mask |= 1 << v
+            if mask.bit_count() != len(clique):
+                raise InputError(f"clique {tuple(clique)} repeats a vertex")
+            for v in clique:
+                if (mask ^ 1 << v) & ~rows[v]:
+                    raise InputError(f"clique {tuple(clique)} has a pair that is not red")
+                rows[v] &= ~mask
+        return TwoColoring._from_rows(rows)
 
 
 def coloring_from_red(n: int, pairs: Iterable[tuple[int, int]]) -> TwoColoring:
@@ -389,5 +430,7 @@ def parse_coloring(text: str) -> TwoColoring:
 
 def serialize_coloring(col: TwoColoring) -> str:
     out = [f"n {col.n}"]
-    out.extend(f"r {u + 1} {v + 1}" for u, v in sorted(col.red))
+    # Row by row, the columns above the diagonal: lexicographic pair order.
+    out.extend(f"r {u + 1} {v + 1}" for u, row in enumerate(col._rows)
+               for v in iter_bits(row & (-1 << (u + 1))))
     return "\n".join(out) + "\n"

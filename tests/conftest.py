@@ -21,6 +21,13 @@ def all_colorings(n: int):
         yield TwoColoring(n, red)
 
 
+def reference_random_red(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    """The red pairs of `random_coloring(n, p, seed)` drawn as a pair list: one
+    uniform draw of `random.Random(seed)` per pair, in lexicographic order."""
+    draw = random.Random(seed).random
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < p]
+
+
 def naive_has_clique(col: TwoColoring, color: str, s: int) -> bool:
     want_red = color == "red"
     for combo in itertools.combinations(range(col.n), s):

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import reference_erdos_tetali
+from conftest import reference_erdos_tetali, reference_random_red
 from ramseykit.construct import (
     CHERNOFF_CHUNK,
     ConstructParams,
@@ -90,6 +90,25 @@ class TestRandomColoring:
     def test_rejects_bad_p(self):
         with pytest.raises(InputError):
             random_coloring(5, 1.5, 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 63, 64, 65, 80])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
+    def test_matches_pair_list_draw(self, n, p):
+        # The rows are drawn directly; the pair list of the same draws, in the
+        # same order, must give the same coloring (63..65 straddle 64 bits).
+        for seed in (0, 1, 12345, 2**64 - 1):
+            ref = reference_random_red(n, p, seed)
+            col = random_coloring(n, p, seed)
+            rebuilt = TwoColoring(n, frozenset(ref))
+            assert col == rebuilt and hash(col) == hash(rebuilt)
+            assert col.red_count == len(ref)
+            assert col.blue_count == n * (n - 1) // 2 - len(ref)
+            rows = [0] * n
+            for u, v in ref:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            assert col.red_adjacency_bits() == rows
+            assert col.red == frozenset(ref)
 
 
 class TestRecolorPacking:

@@ -3,10 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ramseykit.construct import random_coloring
+from ramseykit.detect import max_edge_disjoint_packing
 from ramseykit.errors import CapacityError, InputError, ParseError
 from ramseykit.graphs import (
     Graph,
+    TwoColoring,
     coloring_from_red,
     complete_graph,
     density,
@@ -68,6 +72,65 @@ class TestTypes:
         assert out.blue_adjacency_bits() == rebuilt.blue_adjacency_bits()
         with pytest.raises(InputError):
             col.recolor_blue([(0, 2)])
+
+    def test_recolor_blue_matches_rebuilt_coloring(self):
+        # Members of a greedy triangle packing, then every red pair left as
+        # a 2-clique: the result is the coloring rebuilt from the pairs left.
+        for seed in range(40):
+            n = 2 + seed % 11
+            col = random_coloring(n, 0.2 + 0.2 * (seed % 4), seed)
+            members = list(max_edge_disjoint_packing(col, 3).members)
+            covered = {pair for m in members for pair in itertools.combinations(m, 2)}
+            rest = sorted(col.red - covered)
+            members += [(v, u) for u, v in rest[::2]]
+            covered.update(rest[::2])
+            out = col.recolor_blue(members)
+            rebuilt = TwoColoring(n, col.red - covered)
+            assert out == rebuilt and out.red == rebuilt.red
+            assert out.red_count == rebuilt.red_count == col.red_count - len(covered)
+            assert out.red_adjacency_bits() == rebuilt.red_adjacency_bits()
+
+    @pytest.mark.parametrize("cliques", [
+        [(0, 3)],                   # a blue pair
+        [(0, 1, 2, 3)],             # a clique with a blue pair
+        [(0, 5)], [(-1, 0)],        # a vertex out of range
+        [(1, 1)],                   # a repeated vertex
+        [(0, 1, 2), (1, 2)],        # a pair shared by two members
+        [(2, 3), (3, 2)],           # one pair given twice
+    ])
+    def test_recolor_blue_rejects(self, cliques):
+        red = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
+        col = coloring_from_red(5, red)
+        with pytest.raises(InputError):
+            col.recolor_blue(cliques)
+        assert col == coloring_from_red(5, red) and col.red_count == 5
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+    def test_is_red_is_blue_agree_with_pair_set(self, n):
+        # Ids from -2 to n + 1: a negative id must not read another row.
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng = random.Random(n)
+        built = TwoColoring(n, frozenset(p for p in pairs if rng.random() < 0.5))
+        drawn = random_coloring(n, 0.5, n)
+        for col in (built, drawn, drawn.recolor_blue(sorted(drawn.red)[::3])):
+            red = set(col.red)
+            for u in range(-2, n + 2):
+                for v in range(-2, n + 2):
+                    key = (u, v) if u < v else (v, u)
+                    assert col.is_red(u, v) is (key in red)
+                    assert col.is_blue(u, v) is (u != v and key not in red)
+
+    @pytest.mark.parametrize("rows", [[0b1], [0b100, 0b000], [-1, 0], [0b10, 0b11]])
+    def test_rows_outside_range_or_on_diagonal_rejected(self, rows):
+        with pytest.raises(InputError):
+            TwoColoring._from_rows(rows)
+
+    def test_coloring_is_immutable(self):
+        col = random_coloring(4, 0.5, 0)
+        with pytest.raises(AttributeError):
+            col.n = 5
+        with pytest.raises(AttributeError):
+            del col.red_count
 
     def test_components(self):
         g = graph_from_edges(6, [(0, 1), (1, 2), (4, 5)])
@@ -264,3 +327,49 @@ def test_disjoint_union_offsets():
     g = disjoint_union([complete_graph(3), path_graph(2)])
     assert g.n == 5
     assert g.has_edge(3, 4) and not g.has_edge(2, 3)
+
+
+@st.composite
+def _pair_lines(draw, tag: str, min_n: int):
+    """(n, pairs, text lines) for a random simple graph on n vertices: the
+    pairs in random order, ends swapped at random, uneven spacing and blank
+    lines."""
+    n = draw(st.integers(min_n, 12))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = draw(st.lists(st.sampled_from(all_pairs), unique=True)) if all_pairs else []
+    lines = []
+    for u, v in pairs:
+        if draw(st.booleans()):
+            u, v = v, u
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(f"{pad}{tag} {u + 1}{pad} {v + 1}{pad}")
+        if draw(st.booleans()):
+            lines.append(pad)
+    return n, pairs, lines
+
+
+class TestRoundTripFuzz:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_pair_lines("e", 0))
+    def test_graph_serialize_is_fixed_point(self, drawn):
+        n, pairs, lines = drawn
+        g = parse_graph("\n".join([f"p {n} {len(pairs)}", *lines]) + "\n")
+        assert g == graph_from_edges(n, pairs)
+        text = serialize_graph(g)
+        assert parse_graph(text) == g and serialize_graph(parse_graph(text)) == text
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_pair_lines("r", 1))
+    def test_coloring_serialize_is_fixed_point(self, drawn):
+        n, pairs, lines = drawn
+        col = parse_coloring("\n".join([f"n {n}", *lines]))
+        assert col == coloring_from_red(n, pairs)
+        text = serialize_coloring(col)
+        assert parse_coloring(text) == col and serialize_coloring(parse_coloring(text)) == text
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 70), st.floats(0.0, 1.0), st.integers(0, 2**64))
+    def test_random_coloring_round_trip(self, n, p, seed):
+        col = random_coloring(n, p, seed)
+        back = parse_coloring(serialize_coloring(col))
+        assert back == col and back.red == col.red and back.red_count == col.red_count
