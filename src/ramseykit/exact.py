@@ -24,12 +24,19 @@ absence is exhaustive.
 Containment checks are incremental: after fixing an edge only copies using
 that edge are searched for, with the two kernels shared with detect.  A
 complete pattern K_t is a (t-2)-clique in the common neighborhood of the
-edge (`_cliques`); any other pattern is placed with one of its edges pinned
-on the new edge (`_place`).  The lex check is incremental too: only the row
-pairs that contain an endpoint of the new edge can change.
+edge (`_cliques`); any other pattern is placed with one arc (ordered edge) per
+orbit of its automorphism group pinned on the new edge (`_place`).  One arc
+per orbit suffices: if a copy maps arc (a, b) onto (u, v) and the
+automorphism s takes the representative to (a, b), the copy composed with s
+maps the representative onto (u, v).  The lex check is incremental too: with
+x either endpoint of the new edge and o the other, row pair (x, y) gains
+compared column o only when (y, o) is already fixed, so only those pairs are
+re-compared; every other pair keeps its compared prefix and the red bits in
+it, and passed at an earlier node.  Neither argument uses the edge order.
 """
 from __future__ import annotations
 
+from .bitset import iter_bits
 from .detect import _cliques, _place, find_copy
 from .errors import CapacityError, InputError
 from .graphs import Graph, TwoColoring
@@ -46,20 +53,30 @@ def is_witness(col: TwoColoring, H: Graph, G: Graph) -> bool:
 
 
 class _Pattern:
-    """Static pattern data for pinned-edge containment checks."""
+    """Static pattern data for pinned-edge containment checks in K_n."""
 
     __slots__ = ("n", "clique_order", "pinned_nbrs")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, n: int):
         self.n = g.n
         is_complete = g.n >= 2 and g.edge_count == g.n * (g.n - 1) // 2
         self.clique_order = g.n if is_complete else 0
-        # One placement order per edge (a, b), in sorted edge order: a, b, then
-        # the other vertices by decreasing degree; stored as `_place` wants it,
-        # the earlier neighbors of each position.
-        adj, deg = g.adjacency_sets(), g.degrees()
-        self.pinned_nbrs = []
-        for a, b in sorted(g.edges):
+        # One placement order per arc orbit, its representative the first arc
+        # (a, b) in sorted order: a, b, then the other vertices by decreasing
+        # degree; stored as `_place` wants it, the earlier neighbors of each
+        # position.  Arc (x, y) is in the orbit of a representative that places
+        # on the pattern itself with a -> x and b -> y, since an injective
+        # edge-preserving self-map of a finite graph is an automorphism.  A
+        # pattern larger than K_n has no copy and is given no arcs.
+        self.pinned_nbrs: list[list[list[int]]] = []
+        if g.n > n:
+            return
+        adj, deg, bits = g.adjacency_sets(), g.degrees(), g.adjacency_bits()
+        free = [(1 << g.n) - 1] * (g.n - 2)
+        for a, b in sorted([*g.edges, *((b, a) for a, b in g.edges)]):
+            if any(_place(bits, [1 << a, 1 << b, *free], nbrs) is not None
+                   for nbrs in self.pinned_nbrs):
+                continue
             rest = sorted((x for x in range(g.n) if x != a and x != b),
                           key=lambda x: (-deg[x], x))
             order = [a, b, *rest]
@@ -75,20 +92,21 @@ def _has_pinned_copy(adj: list[int], n: int, pat: _Pattern, u: int, v: int) -> b
     if pat.clique_order:
         return next(_cliques(adj, adj[u] & adj[v], pat.clique_order - 2), None) is not None
     free = [(1 << n) - 1] * (pat.n - 2)
-    return any(
-        _place(adj, [1 << x, 1 << y, *free], nbrs) is not None
-        for nbrs in pat.pinned_nbrs
-        for x, y in ((u, v), (v, u))
-    )
+    return any(_place(adj, [1 << u, 1 << v, *free], nbrs) is not None
+               for nbrs in pat.pinned_nbrs)
 
 
 def _breaks_lex(red_adj: list[int], blue_adj: list[int], u: int, v: int) -> bool:
-    """After fixing edge (u, v): does a red row pair containing u or v break
-    sb_l on the longest column prefix fixed in both of its rows?"""
-    for x in (u, v):
-        for y in range(len(red_adj)):
-            if y == u or y == v:
-                continue  # pair (u, v) compares neither column u nor column v
+    """After fixing edge (u, v): does a red row pair that the edge can change
+    break sb_l on the longest column prefix fixed in both of its rows?
+
+    For x in {u, v} and o the other endpoint, pair (x, y) gains compared
+    column o only when (y, o) is already fixed.  Any other pair keeps its
+    compared prefix and the red bits inside it, so it still satisfies sb_l
+    from an earlier node; pair (u, v) compares neither column u nor v.
+    """
+    for x, o in ((u, v), (v, u)):
+        for y in iter_bits((red_adj[o] | blue_adj[o]) & ~(1 << x)):
             a, b = (x, y) if x < y else (y, x)
             skip = (1 << a) | (1 << b)
             fixed = (red_adj[a] | blue_adj[a]) & (red_adj[b] | blue_adj[b]) | skip
@@ -121,7 +139,7 @@ def find_witness(n: int, H: Graph, G: Graph,
         return None
 
     edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pat_h, pat_g = _Pattern(H), _Pattern(G)
+    pat_h, pat_g = _Pattern(H, n), _Pattern(G, n)
     red_adj = [0] * n
     blue_adj = [0] * n
     red_pairs: list[tuple[int, int]] = []

@@ -209,7 +209,8 @@ class TwoColoring:
         return 0 <= u < self.n and 0 <= v < self.n and self._rows[u] >> v & 1 == 1
 
     def is_blue(self, u: int, v: int) -> bool:
-        return u != v and not self.is_red(u, v)
+        # A pair outside K_n has neither color.
+        return 0 <= u < self.n and 0 <= v < self.n and u != v and self._rows[u] >> v & 1 == 0
 
     def red_adjacency_bits(self) -> list[int]:
         """Bitmask of each vertex's red neighbours, as a fresh list."""

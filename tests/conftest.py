@@ -181,3 +181,53 @@ def reference_find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
         return None
 
     return dfs(0)
+
+
+def all_arcs_pinned_copy(adj: list[int], n: int, G: Graph, u: int, v: int) -> bool:
+    """Does the host graph (bitmask rows `adj` on n vertices) contain a copy
+    of G that maps some edge of G onto (u, v)?  Every edge of G is tried both
+    ways round, and the other vertices of G are mapped by plain recursion."""
+    if not adj[u] >> v & 1:
+        return False
+    gadj = G.adjacency_sets()
+
+    def extend(image: dict[int, int], rest: list[int]) -> bool:
+        if not rest:
+            return True
+        x, more = rest[0], rest[1:]
+        for h in range(n):
+            if h not in image.values() and all(
+                adj[image[y]] >> h & 1 for y in gadj[x] if y in image
+            ):
+                image[x] = h
+                if extend(image, more):
+                    return True
+                del image[x]
+        return False
+
+    for a, b in G.edges:
+        for x, y in ((a, b), (b, a)):
+            if extend({x: u, y: v}, [w for w in range(G.n) if w != x and w != y]):
+                return True
+    return False
+
+
+def full_scan_breaks_lex(red_adj: list[int], blue_adj: list[int], u: int, v: int) -> bool:
+    """Does any red row pair a < b break sb_l on the columns fixed in both
+    rows?  Columns other than a and b are compared in ascending order up to
+    the first one not fixed in both rows; a row pair breaks when row a has the
+    first red bit where the two rows differ.  (u, v), the edge just fixed,
+    is ignored: every pair is scanned."""
+    n = len(red_adj)
+    for a, b in itertools.combinations(range(n), 2):
+        for c in range(n):
+            if c == a or c == b:
+                continue
+            if not ((red_adj[a] | blue_adj[a]) >> c & 1 and (red_adj[b] | blue_adj[b]) >> c & 1):
+                break
+            ra, rb = red_adj[a] >> c & 1, red_adj[b] >> c & 1
+            if ra != rb:
+                if ra:
+                    return True
+                break
+    return False

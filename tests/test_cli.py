@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ramseykit import cli, construct
+from ramseykit import cli, construct, exact
 from ramseykit.cli import main
 from ramseykit.errors import ContractViolation
 from ramseykit.graphs import (
@@ -18,6 +18,7 @@ from ramseykit.graphs import (
     serialize_coloring,
     serialize_graph,
     coloring_from_red,
+    cycle_graph,
     path_graph,
 )
 
@@ -181,6 +182,21 @@ class TestExact:
         data = json.loads(out)
         jsonschema.validate(data, load_schema("exact.schema.json"))
         assert data == {"ramsey": 6}
+
+    def test_pattern_larger_than_cap(self, capsys, monkeypatch, tmp_path, k3_file):
+        # No order up to the cap fits C2000, so its arc orbits are never computed.
+        place = exact._place
+
+        def small_hosts_only(adj, *args):
+            assert len(adj) <= 9, "a pattern that does not fit in K_n needs no placement"
+            return place(adj, *args)
+
+        monkeypatch.setattr(exact, "_place", small_hosts_only)
+        big = tmp_path / "c2000.g"
+        big.write_text(serialize_graph(cycle_graph(2000)))
+        code, out, _ = run(capsys, ["exact", "--H", k3_file, "--G", str(big)])
+        assert code == 1
+        assert json.loads(out) == {"ramsey": None, "greater_than": 9}
 
     def test_above_cap_exit_1(self, capsys, k3_file, p3_file):
         code, out, _ = run(capsys, [

@@ -1,8 +1,16 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import GRAPHS_UP_TO_3_EDGES, all_colorings, reference_find_witness
+from conftest import (
+    GRAPHS_UP_TO_3_EDGES,
+    all_arcs_pinned_copy,
+    all_colorings,
+    full_scan_breaks_lex,
+    reference_find_witness,
+)
+from ramseykit import exact
 from ramseykit.detect import find_copy
 from ramseykit.errors import CapacityError, InputError
 from ramseykit.exact import find_witness, is_witness, ramsey_number
@@ -133,6 +141,64 @@ class TestSymmetryBreaking:
         for G in SB_PATTERNS.values():
             for n in range(2, 7):
                 assert_matches_reference(n, SB_PATTERNS[h], G)
+
+
+class TestReducedChecks:
+    """The search with one pinned placement per arc orbit and the restricted
+    lex check against the same DFS with every arc placed and every row pair
+    compared: same nodes, so the same first witness."""
+
+    PATTERNS = {**SB_PATTERNS, "C5": cycle_graph(5), "P5": path_graph(5)}
+
+    @staticmethod
+    def search_all(H, monkeypatch, breaks_lex):
+        """Witness or None for every pattern as G and n <= 7, and the number
+        of lex checks, one per child node tried."""
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return breaks_lex(*args)
+
+        monkeypatch.setattr(exact, "_breaks_lex", counted)
+        found = [find_witness(n, H, G)
+                 for G in TestReducedChecks.PATTERNS.values() for n in range(1, 8)]
+        return found, calls
+
+    @pytest.mark.parametrize("h", list(PATTERNS))
+    def test_same_search_as_full_checks(self, h, monkeypatch):
+        H = self.PATTERNS[h]
+        got = self.search_all(H, monkeypatch, exact._breaks_lex)
+        monkeypatch.setattr(exact, "_Pattern", lambda g, n: g)
+        monkeypatch.setattr(exact, "_has_pinned_copy", all_arcs_pinned_copy)
+        want = self.search_all(H, monkeypatch, full_scan_breaks_lex)
+        assert got == want
+        assert any(w is not None for w in want[0]) and None in want[0]
+
+    def test_lex_check_in_any_edge_order(self):
+        # The restricted check does not rely on the DFS's lexicographic edge
+        # order: fix the pairs of K_n in random orders, keep only states that
+        # satisfy sb_l, and compare every step with a scan of all row pairs.
+        rng = random.Random(11)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            pairs = list(itertools.combinations(range(n), 2))
+            rng.shuffle(pairs)
+            red, blue = [0] * n, [0] * n
+            for u, v in pairs:
+                for rows in rng.sample([red, blue], 2):
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                    got = exact._breaks_lex(red, blue, u, v)
+                    assert got == full_scan_breaks_lex(red, blue, u, v)
+                    outcomes.add(got)
+                    if not got:
+                        break
+                    rows[u] &= ~(1 << v)
+                    rows[v] &= ~(1 << u)
+        assert outcomes == {False, True}
 
 
 class TestRamseyNumber:

@@ -107,7 +107,8 @@ class TestTypes:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
     def test_is_red_is_blue_agree_with_pair_set(self, n):
-        # Ids from -2 to n + 1: a negative id must not read another row.
+        # Ids from -2 to n + 1: a negative id must not read another row, and a
+        # pair outside K_n is neither red nor blue.
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng = random.Random(n)
         built = TwoColoring(n, frozenset(p for p in pairs if rng.random() < 0.5))
@@ -118,7 +119,8 @@ class TestTypes:
                 for v in range(-2, n + 2):
                     key = (u, v) if u < v else (v, u)
                     assert col.is_red(u, v) is (key in red)
-                    assert col.is_blue(u, v) is (u != v and key not in red)
+                    inside = 0 <= u < n and 0 <= v < n and u != v
+                    assert col.is_blue(u, v) is (inside and key not in red)
 
     @pytest.mark.parametrize("rows", [[0b1], [0b100, 0b000], [-1, 0], [0b10, 0b11]])
     def test_rows_outside_range_or_on_diagonal_rejected(self, rows):

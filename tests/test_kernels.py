@@ -21,7 +21,22 @@ from ramseykit.graphs import (
     cycle_graph,
     graph_from_edges,
     path_graph,
+    star_graph,
 )
+
+# Patterns with nontrivial arc orbits, and one with none (every arc its own
+# orbit: vertex 0 is the only leaf, which fixes every vertex).
+ORBIT_PATTERNS = {
+    "C4": cycle_graph(4),
+    "C5": cycle_graph(5),
+    "P5": path_graph(5),
+    "K13": star_graph(3),
+    "K14": star_graph(4),
+    "paw": graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "K4-e": graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "K23": graph_from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+    "asym6": graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5), (1, 5)]),
+}
 
 
 def random_coloring_local(rng, n, q):
@@ -93,20 +108,47 @@ class TestPlacementOracles:
 
     def test_pinned_copy_matches_brute_force(self):
         patterns = dict(GRAPHS_UP_TO_3_EDGES)
-        patterns.update({
-            "K4": complete_graph(4),
-            "C4": cycle_graph(4),
-            "K4-e": graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
-        })
+        patterns.update(ORBIT_PATTERNS)
+        patterns["K4"] = complete_graph(4)
         rng = random.Random(7)
         for _ in range(12):
             col = random_coloring_local(rng, rng.randint(4, 7), rng.uniform(0.3, 0.8))
             adj = col.red_adjacency_bits()
             for name, g in patterns.items():
-                pat = exact._Pattern(g)
+                pat = exact._Pattern(g, col.n)
                 for u, v in sorted(col.red):
                     got = exact._has_pinned_copy(adj, col.n, pat, u, v)
                     assert got == naive_has_pinned_copy(col, "red", g, u, v), (name, u, v)
+
+    @pytest.mark.parametrize("name, count", [
+        ("C4", 1), ("C5", 1), ("P5", 4), ("K13", 2), ("K14", 2), ("paw", 5),
+        ("K4-e", 3), ("K23", 2), ("asym6", 14),
+    ])
+    def test_one_placement_per_arc_orbit(self, name, count):
+        g = ORBIT_PATTERNS[name]
+        autos = [
+            p for p in itertools.permutations(range(g.n))
+            if all(tuple(sorted((p[a], p[b]))) in g.edges for a, b in g.edges)
+        ]
+        arcs = [*g.edges, *((b, a) for a, b in g.edges)]
+        orbits = {frozenset((p[a], p[b]) for p in autos) for a, b in arcs}
+        assert len(exact._Pattern(g, g.n).pinned_nbrs) == len(orbits) == count
+
+    def test_pattern_larger_than_host_has_no_arcs(self, monkeypatch):
+        place = exact._place
+
+        def small_hosts_only(adj, *args):
+            # Hosts are K_9 and the patterns themselves; K3 fits, C2000 must not
+            # be placed on itself.
+            assert len(adj) <= 9, "a pattern that does not fit in K_n needs no placement"
+            return place(adj, *args)
+
+        want = exact.find_witness(9, complete_graph(3), cycle_graph(10))
+        monkeypatch.setattr(exact, "_place", small_hosts_only)
+        big = cycle_graph(2000)
+        assert exact._Pattern(big, 9).pinned_nbrs == []
+        assert exact.find_witness(9, complete_graph(3), big) == want
+        assert want is not None
 
     def test_find_witness_does_not_call_find_copy(self, monkeypatch):
         def forbidden(*args, **kwargs):
