@@ -243,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact Ramsey number by exhaustive search")
     p.add_argument("--H", type=str, required=True, help="red-side graph file")
     p.add_argument("--G", type=str, required=True, help="blue-side graph file")
-    p.add_argument("--cap", type=int, default=9)
+    p.add_argument("--cap", type=int, default=9,
+                   help="highest order n to search (default 9); reaching an order "
+                        "above 11, beyond the search's 55-edge cap, exits 2")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("gen-union", help="disjoint-clique graph with >= m edges")

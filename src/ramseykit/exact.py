@@ -1,6 +1,6 @@
 """Exact Ramsey computation on tiny instances.
 
-find_witness runs a DFS over the edges of K_n in lexicographic order,
+find_witness runs a DFS over the edges of K_n in row-major order,
 branching red before blue and pruning a branch as soon as the partially fixed
 red edges contain a copy of H or the blue ones a copy of G.  The convention
 throughout is red-H (the clique side in all the bound formulas) and blue-G.
@@ -28,11 +28,18 @@ edge (`_cliques`); any other pattern is placed with one arc (ordered edge) per
 orbit of its automorphism group pinned on the new edge (`_place`).  One arc
 per orbit suffices: if a copy maps arc (a, b) onto (u, v) and the
 automorphism s takes the representative to (a, b), the copy composed with s
-maps the representative onto (u, v).  The lex check is incremental too: with
-x either endpoint of the new edge and o the other, row pair (x, y) gains
-compared column o only when (y, o) is already fixed, so only those pairs are
-re-compared; every other pair keeps its compared prefix and the red bits in
-it, and passed at an earlier node.  Neither argument uses the edge order.
+maps the representative onto (u, v).
+
+The lex check is fitted to the row-major edge order (0,1), (0,2), ..., (1,2),
+....  When (u, v) is fixed, rows 0..u-1 are complete and row u is fixed up to
+column v.  Take x either endpoint of the new edge and o the other: every y
+with (y, o) fixed is below x, and the compared prefix of row pair (y, x) is
+exactly the columns below o, y and x skipped, plus column o.  The pair passed
+on the columns below o at an earlier node, and any pair without a fixed
+(y, o) keeps its prefix and its red bits, so the only new violation is a
+difference at column o with the 1 in row y: (y, o) red, (x, o) blue, and
+rows y and x equal below o.  A red edge therefore never breaks sb_l, and a
+blue one is checked against the red neighbours y of o only.
 """
 from __future__ import annotations
 
@@ -41,7 +48,7 @@ from .detect import _cliques, _place, find_copy
 from .errors import CapacityError, InputError
 from .graphs import Graph, TwoColoring
 
-DEFAULT_EDGE_CAP = 36
+DEFAULT_EDGE_CAP = 55
 
 
 def is_witness(col: TwoColoring, H: Graph, G: Graph) -> bool:
@@ -96,23 +103,19 @@ def _has_pinned_copy(adj: list[int], n: int, pat: _Pattern, u: int, v: int) -> b
                for nbrs in pat.pinned_nbrs)
 
 
-def _breaks_lex(red_adj: list[int], blue_adj: list[int], u: int, v: int) -> bool:
-    """After fixing edge (u, v): does a red row pair that the edge can change
-    break sb_l on the longest column prefix fixed in both of its rows?
+def _breaks_lex(red_adj: list[int], u: int, v: int) -> bool:
+    """After fixing edge (u, v) blue in row-major order: does a red row pair
+    now break sb_l on the longest column prefix fixed in both of its rows?
 
-    For x in {u, v} and o the other endpoint, pair (x, y) gains compared
-    column o only when (y, o) is already fixed.  Any other pair keeps its
-    compared prefix and the red bits inside it, so it still satisfies sb_l
-    from an earlier node; pair (u, v) compares neither column u nor v.
+    For x in {u, v} and o the other endpoint, the only pairs that can newly
+    break are (y, x) with (y, o) red: y < x, the rows are compared on the
+    columns below o (y and x skipped) and then on column o, where row y has
+    the 1.  They break when the rows agree below o.
     """
     for x, o in ((u, v), (v, u)):
-        for y in iter_bits((red_adj[o] | blue_adj[o]) & ~(1 << x)):
-            a, b = (x, y) if x < y else (y, x)
-            skip = (1 << a) | (1 << b)
-            fixed = (red_adj[a] | blue_adj[a]) & (red_adj[b] | blue_adj[b]) | skip
-            prefix = (fixed ^ (fixed + 1)) >> 1
-            diff = (red_adj[a] ^ red_adj[b]) & prefix & ~skip
-            if red_adj[a] & diff & -diff:
+        row, below = red_adj[x], (1 << o) - 1
+        for y in iter_bits(red_adj[o]):
+            if not (red_adj[y] ^ row) & below & ~(1 << y | 1 << x):
                 return True
     return False
 
@@ -121,11 +124,13 @@ def find_witness(n: int, H: Graph, G: Graph,
                  edge_cap: int = DEFAULT_EDGE_CAP) -> TwoColoring | None:
     """First witness coloring of K_n under the red-before-blue DFS, or None.
 
-    Only colorings whose red adjacency rows satisfy sb_l (row a lex <= row b
-    for every a < b, columns a and b skipped) are visited; since every graph
-    has such a labelling and witnesses stay witnesses under relabelling, None
-    still means that no witness exists (Codish, Miller, Prosser and Stuckey,
-    Constraints 24, 2019).
+    Edges are fixed in row-major order, red before blue.  Only colorings
+    whose red adjacency rows satisfy sb_l (row a lex <= row b for every
+    a < b, columns a and b skipped) are visited; since every graph has such a
+    labelling and witnesses stay witnesses under relabelling, None still
+    means that no witness exists (Codish, Miller, Prosser and Stuckey,
+    Constraints 24, 2019).  The lex check relies on the row-major order: a
+    red edge never breaks sb_l, and a blue one is checked by `_breaks_lex`.
     """
     if n < 1:
         raise InputError("order must be at least 1")
@@ -153,8 +158,7 @@ def find_witness(n: int, H: Graph, G: Graph,
         red_adj[u] |= bv
         red_adj[v] |= bu
         red_pairs.append((u, v))
-        if (not _breaks_lex(red_adj, blue_adj, u, v)
-                and not _has_pinned_copy(red_adj, n, pat_h, u, v)):
+        if not _has_pinned_copy(red_adj, n, pat_h, u, v):
             witness = dfs(i + 1)
             if witness is not None:
                 return witness
@@ -164,7 +168,7 @@ def find_witness(n: int, H: Graph, G: Graph,
 
         blue_adj[u] |= bv
         blue_adj[v] |= bu
-        if (not _breaks_lex(red_adj, blue_adj, u, v)
+        if (not _breaks_lex(red_adj, u, v)
                 and not _has_pinned_copy(blue_adj, n, pat_g, u, v)):
             witness = dfs(i + 1)
             if witness is not None:

@@ -231,3 +231,39 @@ def full_scan_breaks_lex(red_adj: list[int], blue_adj: list[int], u: int, v: int
                     return True
                 break
     return False
+
+
+def row_major_reference_search(n: int, H: Graph, G: Graph) -> tuple[TwoColoring | None, int, int]:
+    """The exact search with the whole sb_l scan and every arc placed: a DFS
+    over the edges of K_n in row-major order, red before blue, that after
+    every edge of either color prunes when `full_scan_breaks_lex` finds a
+    broken row pair, and otherwise when `all_arcs_pinned_copy` finds a copy of
+    the color's pattern through the edge.  Returns the first witness (or
+    None), the number of pinned-copy checks and the number of blue children
+    tried."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rows = {"red": [0] * n, "blue": [0] * n}
+    pattern = {"red": H, "blue": G}
+    pinned_checks = blue_children = 0
+
+    def dfs(i: int) -> TwoColoring | None:
+        nonlocal pinned_checks, blue_children
+        if i == len(pairs):
+            return TwoColoring(n, frozenset(p for p in pairs if rows["red"][p[0]] >> p[1] & 1))
+        u, v = pairs[i]
+        for color in ("red", "blue"):
+            adj = rows[color]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            blue_children += color == "blue"
+            if not full_scan_breaks_lex(rows["red"], rows["blue"], u, v):
+                pinned_checks += 1
+                if not all_arcs_pinned_copy(adj, n, pattern[color], u, v):
+                    witness = dfs(i + 1)
+                    if witness is not None:
+                        return witness
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+        return None
+
+    return dfs(0), pinned_checks, blue_children

@@ -207,6 +207,22 @@ class TestExact:
         jsonschema.validate(data, load_schema("exact.schema.json"))
         assert data == {"ramsey": None, "greater_than": 4}
 
+    def test_cap_11(self, capsys, tmp_path, k3_file):
+        c6 = tmp_path / "c6.g"
+        c6.write_text(serialize_graph(cycle_graph(6)))
+        code, out, _ = run(capsys, ["exact", "--H", k3_file, "--G", str(c6), "--cap", "11"])
+        assert code == 0
+        assert json.loads(out) == {"ramsey": 11}
+
+    def test_order_above_edge_cap_exits_2(self, capsys, tmp_path):
+        # r(K2, P13) = 13, so the search reaches K_12 and its 66 edges.
+        k2, p13 = tmp_path / "k2.g", tmp_path / "p13.g"
+        k2.write_text(serialize_graph(complete_graph(2)))
+        p13.write_text(serialize_graph(path_graph(13)))
+        code, out, _ = run(capsys, ["exact", "--H", str(k2), "--G", str(p13), "--cap", "12"])
+        assert code == 2
+        assert out == ""
+
 
 class TestGenUnion:
     def test_m100_s3(self, capsys, tmp_path):

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import (
     GRAPHS_UP_TO_3_EDGES,
-    all_arcs_pinned_copy,
     all_colorings,
     full_scan_breaks_lex,
     reference_find_witness,
+    row_major_reference_search,
 )
 from ramseykit import exact
 from ramseykit.detect import find_copy
@@ -120,7 +120,7 @@ class TestFindWitness:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            find_witness(10, K3, K3)
+            find_witness(12, K3, K3)
         with pytest.raises(InputError):
             find_witness(0, K3, K3)
 
@@ -144,55 +144,58 @@ class TestSymmetryBreaking:
 
 
 class TestReducedChecks:
-    """The search with one pinned placement per arc orbit and the restricted
-    lex check against the same DFS with every arc placed and every row pair
-    compared: same nodes, so the same first witness."""
+    """The search with one pinned placement per arc orbit and the row-major
+    lex check against the same row-major DFS with every arc placed and every
+    row pair compared after every edge: same nodes, so the same first
+    witness and the same number of pinned-copy checks."""
 
     PATTERNS = {**SB_PATTERNS, "C5": cycle_graph(5), "P5": path_graph(5)}
 
-    @staticmethod
-    def search_all(H, monkeypatch, breaks_lex):
-        """Witness or None for every pattern as G and n <= 7, and the number
-        of lex checks, one per child node tried."""
-        calls = 0
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return breaks_lex(*args)
-
-        monkeypatch.setattr(exact, "_breaks_lex", counted)
-        found = [find_witness(n, H, G)
-                 for G in TestReducedChecks.PATTERNS.values() for n in range(1, 8)]
-        return found, calls
-
     @pytest.mark.parametrize("h", list(PATTERNS))
     def test_same_search_as_full_checks(self, h, monkeypatch):
-        H = self.PATTERNS[h]
-        got = self.search_all(H, monkeypatch, exact._breaks_lex)
-        monkeypatch.setattr(exact, "_Pattern", lambda g, n: g)
-        monkeypatch.setattr(exact, "_has_pinned_copy", all_arcs_pinned_copy)
-        want = self.search_all(H, monkeypatch, full_scan_breaks_lex)
-        assert got == want
-        assert any(w is not None for w in want[0]) and None in want[0]
+        calls = {"pinned": 0, "lex": 0}
 
-    def test_lex_check_in_any_edge_order(self):
-        # The restricted check does not rely on the DFS's lexicographic edge
-        # order: fix the pairs of K_n in random orders, keep only states that
-        # satisfy sb_l, and compare every step with a scan of all row pairs.
+        def counted(name, check):
+            def wrapper(*args):
+                calls[name] += 1
+                return check(*args)
+            return wrapper
+
+        monkeypatch.setattr(exact, "_has_pinned_copy", counted("pinned", exact._has_pinned_copy))
+        monkeypatch.setattr(exact, "_breaks_lex", counted("lex", exact._breaks_lex))
+        H = self.PATTERNS[h]
+        found = []
+        for G in self.PATTERNS.values():
+            for n in range(1, 8):
+                calls.update(pinned=0, lex=0)
+                witness = find_witness(n, H, G)
+                want, pinned_checks, blue_children = row_major_reference_search(n, H, G)
+                assert witness == want, (h, G, n)
+                # Only the blue branch checks sb_l, once per blue child.
+                assert (calls["pinned"], calls["lex"]) == (pinned_checks, blue_children), (h, G, n)
+                found.append(witness)
+        assert any(w is not None for w in found) and None in found
+
+    def test_lex_check_in_row_major_order(self):
+        # Fix the pairs of K_n in row-major order, each in a random color
+        # first, keeping only states that satisfy sb_l.  After a blue edge the
+        # restricted check must agree with a scan of all row pairs; a red edge
+        # must never break sb_l.
         rng = random.Random(11)
         outcomes = set()
         for _ in range(300):
             n = rng.randint(2, 7)
-            pairs = list(itertools.combinations(range(n), 2))
-            rng.shuffle(pairs)
             red, blue = [0] * n, [0] * n
-            for u, v in pairs:
+            for u, v in itertools.combinations(range(n), 2):
                 for rows in rng.sample([red, blue], 2):
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
-                    got = exact._breaks_lex(red, blue, u, v)
-                    assert got == full_scan_breaks_lex(red, blue, u, v)
+                    full = full_scan_breaks_lex(red, blue, u, v)
+                    if rows is red:
+                        assert not full
+                        break
+                    got = exact._breaks_lex(red, u, v)
+                    assert got == full
                     outcomes.add(got)
                     if not got:
                         break
