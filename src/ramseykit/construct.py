@@ -18,10 +18,10 @@ from typing import Literal
 
 from .detect import (
     CliquePacking,
+    _greedy_packing,
     check_node_budget,
     find_clique,
     find_copy,
-    max_edge_disjoint_packing,
     packing_reaches,
 )
 from .errors import CapacityError, ContractViolation, InputError, SearchBudgetExceeded
@@ -128,14 +128,15 @@ def random_coloring(n: int, p: float, seed: int) -> TwoColoring:
 def recolor_packing(col: TwoColoring, s: int) -> tuple[TwoColoring, CliquePacking]:
     """Recolor a greedy maximal edge-disjoint family of red s-cliques blue.
 
-    Members are edge-disjoint, so exactly C(s,2) * packing_size red pairs
-    flip; maximality of the family makes the residual red graph K_s-free.
+    The residual's red rows are the rows the greedy pass leaves in a copy of
+    `col`'s rows.  Members are edge-disjoint, so exactly C(s,2) * packing_size
+    red pairs flip; maximality makes the residual red graph K_s-free.
     """
     if s < 3:
         raise InputError("s must be at least 3")
-    packing = max_edge_disjoint_packing(col, s, "greedy")
-    recolored = col.recolor_blue(packing.members)
-    return recolored, packing
+    rows = col.red_adjacency_bits()
+    members = tuple(_greedy_packing(rows, col.n, s))
+    return TwoColoring._from_rows(rows), CliquePacking(s=s, members=members)
 
 
 def _resolve_n_p(params: ConstructParams) -> tuple[int, float]:

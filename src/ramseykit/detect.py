@@ -7,10 +7,11 @@ are lexicographic throughout so results are reproducible without seeds.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
 from .bitset import bits_of, iter_bits
 from .errors import CapacityError, InputError, SearchBudgetExceeded
@@ -83,13 +84,13 @@ def check_node_budget(node_budget: int | None) -> None:
 class _NodeCounter:
     __slots__ = ("count", "budget")
 
-    def __init__(self, budget: int | None):
+    def __init__(self, budget: int):
         self.count = 0
         self.budget = budget
 
     def tick(self):
         self.count += 1
-        if self.budget is not None and self.count > self.budget:
+        if self.count > self.budget:
             raise SearchBudgetExceeded(f"search exceeded node budget of {self.budget}")
 
 
@@ -142,7 +143,7 @@ def _cliques(adj: list[int], cand: int, s: int,
             rests.append(rest)
 
 
-def _place(adj: list[int], cand_mask: list[int], placed_nbrs: list[list[int]],
+def _place(adj: list[int], cand_mask: list[int], placed_nbrs: Sequence[Sequence[int]],
            counter: _NodeCounter | None = None) -> list[int] | None:
     """First injective image of a pattern on the host graph `adj`, or None.
 
@@ -200,12 +201,26 @@ def find_clique(col: TwoColoring, color: Color, s: int,
     if s > col.n:
         return None
     adj = color_adjacency_bits(col, color)
-    return next(_cliques(adj, (1 << col.n) - 1, s, _NodeCounter(node_budget)), None)
+    counter = None if node_budget is None else _NodeCounter(node_budget)
+    return next(_cliques(adj, (1 << col.n) - 1, s, counter), None)
 
 
 # ---------------------------------------------------------------------------
 # Subgraph-isomorphism copies (not induced)
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache
+def _pattern_plan(G: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """`find_copy`'s plan for the immutable pattern G, built once per graph: the
+    placement order (decreasing degree, ties by id), the degree at each
+    position, and the earlier positions adjacent to each position."""
+    gdeg = G.degrees()
+    gadj = G.adjacency_sets()
+    order = sorted(range(G.n), key=lambda g: (-gdeg[g], g))
+    pos = {g: i for i, g in enumerate(order)}
+    placed_nbrs = tuple(tuple(pos[h] for h in gadj[g] if pos[h] < i) for i, g in enumerate(order))
+    return tuple(order), tuple(gdeg[g] for g in order), placed_nbrs
+
 
 def find_copy(col: TwoColoring, color: Color, G: Graph,
               node_budget: int | None = DEFAULT_NODE_BUDGET) -> EmbeddingMap | None:
@@ -218,19 +233,16 @@ def find_copy(col: TwoColoring, color: Color, G: Graph,
     SearchBudgetExceeded instead of returning None.
     """
     check_node_budget(node_budget)
-    n, vg = col.n, G.n
-    if vg > n:
+    n = col.n
+    if G.n > n:
         return None
     adj = color_adjacency_bits(col, color)
+    order, degs, placed_nbrs = _pattern_plan(G)
     host_deg = [a.bit_count() for a in adj]
-    gdeg = G.degrees()
-    gadj = G.adjacency_sets()
-    order = sorted(range(vg), key=lambda g: (-gdeg[g], g))
-    pos = {g: i for i, g in enumerate(order)}
-    placed_nbrs = [[pos[h] for h in gadj[g] if pos[h] < i] for i, g in enumerate(order)]
-    at_least = {d: bits_of(w for w in range(n) if host_deg[w] >= d) for d in set(gdeg)}
-    deg_mask = [at_least[gdeg[g]] for g in order]
-    image = _place(adj, deg_mask, placed_nbrs, _NodeCounter(node_budget))
+    at_least = {d: bits_of(w for w in range(n) if host_deg[w] >= d) for d in set(degs)}
+    deg_mask = [at_least[d] for d in degs]
+    counter = None if node_budget is None else _NodeCounter(node_budget)
+    image = _place(adj, deg_mask, placed_nbrs, counter)
     if image is None:
         return None
     return EmbeddingMap(G, dict(zip(order, image)))
@@ -246,18 +258,20 @@ def _greedy_packing(adj: list[int], n: int, s: int) -> Iterator[tuple[int, ...]]
     pairs is already covered.
 
     The search runs on `live`, the rows of `adj` minus the covered pairs, so
-    it never lists a clique it would reject.  It yields the same members as
-    filtering every clique: member i + 1 of the filter is the least clique of
-    `live` after members 1..i, because covered pairs only grow (a clique
-    rejected once stays rejected, and one before member i that was still in
-    `live` would have joined before it).  After a member (u0, u1, ..., v) is
-    yielded, its pairs leave `live` and the search resumes at depth 1 under
-    u0: every prefix of the member of length >= 2 now holds a covered pair,
-    and the untried second vertices, all above u1, are masked with live[u0].
-    Deeper levels are rebuilt from `live` as the search descends, so the next
-    clique reached is the least clique of `live` above the last member.
+    it never lists a clique it would reject.  `live` is `adj` itself, cleared
+    in place, so the exhausted generator leaves the residual red rows in the
+    caller's list.  It yields the same members as filtering every clique:
+    member i + 1 of the filter is the least clique of `live` after members
+    1..i, because covered pairs only grow (a clique rejected once stays
+    rejected, and one before member i that was still in `live` would have
+    joined before it).  After a member (u0, u1, ..., v) is yielded, its pairs
+    leave `live` and the search resumes at depth 1 under u0: every prefix of
+    the member of length >= 2 now holds a covered pair, and the untried second
+    vertices, all above u1, are masked with live[u0].  Deeper levels are
+    rebuilt from `live` as the search descends, so the next clique reached is
+    the least clique of `live` above the last member.
     """
-    live = list(adj)
+    live = adj
     prefix: list[int] = []
     # rests[d]: candidates for position d not yet tried, all above prefix[d - 1]
     # and adjacent in `live` to every vertex of the prefix.
@@ -372,11 +386,13 @@ def max_edge_disjoint_packing(col: TwoColoring, s: int,
 def packing_reaches(col: TwoColoring, s: int, k: int) -> bool:
     """Whether some k red s-cliques of `col` are pairwise edge-disjoint.
 
-    Decides X0 >= k, X0 the maximum packing size, without computing X0.  Three
+    Decides X0 >= k, X0 the maximum packing size, without computing X0.  Four
     exits come first, each sound on its own: fewer than k * C(s,2) red pairs
-    (False); k members of one lazy greedy pass, which are edge-disjoint (True);
-    fewer than k red s-cliques (False).  Otherwise the exact branch and bound
-    runs with target k.
+    (False); a sum over vertices v of floor(deg_red(v) / (s-1)) below k * s
+    (False), since a member takes s - 1 red pairs at each of its s vertices;
+    k members of one lazy greedy pass, which are edge-disjoint (True); fewer
+    than k red s-cliques (False).  Otherwise the exact branch and bound runs
+    with target k.
     """
     if s < 2:
         raise InputError("clique order must be at least 2")
@@ -387,7 +403,9 @@ def packing_reaches(col: TwoColoring, s: int, k: int) -> bool:
     if col.red_count < k * math.comb(s, 2):
         return False
     adj = col.red_adjacency_bits()
-    if _count_up_to(_greedy_packing(adj, col.n, s), k) == k:
+    if sum(row.bit_count() // (s - 1) for row in adj) < k * s:
+        return False
+    if _count_up_to(_greedy_packing(list(adj), col.n, s), k) == k:
         return True
     if _count_up_to(_cliques(adj, (1 << col.n) - 1, s), k) < k:
         return False

@@ -140,7 +140,7 @@ class TwoColoring:
     The red adjacency rows are the canonical state: bit v of row u is set iff
     the pair {u, v} is red, and blue is the complement.  The constructor
     validates a pair set and builds the rows from it; `random_coloring` and
-    `recolor_blue` build rows directly (`_from_rows`) and hold no pair set.
+    `recolor_packing` build rows directly (`_from_rows`) and hold no pair set.
     `red`, the set of red pairs (u, v) with u < v, is then derived from the
     rows on first use and kept.
     """
@@ -220,30 +220,6 @@ class TwoColoring:
         full = (1 << self.n) - 1
         red = self._rows
         return [full & ~(red[v] | (1 << v)) for v in range(self.n)]
-
-    def recolor_blue(self, cliques: Iterable[Sequence[int]]) -> TwoColoring:
-        """This coloring with every pair inside each of `cliques` recolored blue.
-
-        A pair is a 2-clique.  Every pair of every clique must be red when its
-        clique is reached, so a pair shared by two cliques, a repeated or
-        out-of-range vertex, or a blue pair raises InputError.  The result's
-        rows are these rows with one vertex mask cleared per clique member.
-        """
-        n = self.n
-        rows = list(self._rows)
-        for clique in cliques:
-            mask = 0
-            for v in clique:
-                if not 0 <= v < n:
-                    raise InputError(f"vertex {v} out of range 0..{n - 1}")
-                mask |= 1 << v
-            if mask.bit_count() != len(clique):
-                raise InputError(f"clique {tuple(clique)} repeats a vertex")
-            for v in clique:
-                if (mask ^ 1 << v) & ~rows[v]:
-                    raise InputError(f"clique {tuple(clique)} has a pair that is not red")
-                rows[v] &= ~mask
-        return TwoColoring._from_rows(rows)
 
 
 def coloring_from_red(n: int, pairs: Iterable[tuple[int, int]]) -> TwoColoring:

@@ -9,7 +9,7 @@ import math
 import random
 
 from ramseykit.construct import random_coloring, trial_seed
-from ramseykit.detect import max_edge_disjoint_packing
+from ramseykit.detect import _greedy_packing, max_edge_disjoint_packing
 from ramseykit.graphs import Graph, TwoColoring, graph_from_edges, coloring_from_red
 
 
@@ -80,6 +80,40 @@ def reference_greedy_packing(col: TwoColoring, s: int) -> list[tuple[int, ...]]:
             members.append(combo)
             covered.update(pairs)
     return members
+
+
+# A coloring whose greedy triangle packing is the one member (0, 1, 2): red is
+# K_4 on {0, 1, 2, 3} plus the pair (3, 4), and vertex 5 is all blue.  The
+# residual red pairs are (0, 3), (1, 3), (2, 3) and (3, 4).
+ONE_TRIANGLE_PACKING = coloring_from_red(
+    6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+
+# Members a faulty greedy pass could add after the real ones, each clearing
+# fewer than 3 red pairs from ONE_TRIANGLE_PACKING's residual rows, which
+# stay triangle-free.
+FAULTY_TRIANGLES = {
+    "blue-pair": [(2, 3, 4)],
+    "two-blue-pairs": [(3, 4, 5)],
+    "repeated-vertex": [(3, 3, 4)],
+    "shared-pair": [(0, 1, 3)],
+    "member-twice": [(0, 1, 2)],
+}
+
+
+def greedy_with_extra_members(extra):
+    """A stand-in for `detect._greedy_packing`: the real members, then
+    `extra`, each member's pairs cleared from the given rows the way the
+    real pass clears them."""
+    def greedy(adj, n, s):
+        yield from _greedy_packing(adj, n, s)
+        for member in extra:
+            yield member
+            mask = 0
+            for v in member:
+                mask |= 1 << v
+            for v in member:
+                adj[v] &= ~mask
+    return greedy
 
 
 def reference_erdos_tetali(n: int, p: float, s: int, k: int, trials: int,

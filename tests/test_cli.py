@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from conftest import FAULTY_TRIANGLES, ONE_TRIANGLE_PACKING, greedy_with_extra_members
 from ramseykit import cli, construct, exact
 from ramseykit.cli import main
 from ramseykit.errors import ContractViolation
@@ -262,6 +263,22 @@ class TestStats:
         assert data["empirical"] == 1.0
 
 
+def test_erdos_tetali_all_red_k12_is_refuted_quickly():
+    # K_12 has 66 red pairs and 220 triangles, but at most 20 edge-disjoint
+    # ones: each vertex has degree 11, so it lies in at most 5 members, and
+    # 12 * 5 < 21 * 3.  Without that vertex bound the decision is an
+    # exhaustive search that does not finish; the timeout turns such a
+    # regression into a failure.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["stats", "erdos-tetali", "--n", "12", "--p", "1", "--s", "3", "--k", "21",
+            "--trials", "3", "--seed", "0"]
+    done = subprocess.run([sys.executable, "-m", "ramseykit", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["empirical"] == 0.0
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ["bounds", "--s", "4", "--m", "500", "--json"],
@@ -291,6 +308,18 @@ class TestExitCodes:
         assert out == ""
         assert err == ("internal error: ContractViolation: "
                        "residual red graph contains a forbidden clique\n")
+
+    @pytest.mark.parametrize("fault", ["blue-pair", "shared-pair"])
+    def test_faulty_packing_exits_3(self, capsys, monkeypatch, k3_file, fault):
+        monkeypatch.setattr(construct, "random_coloring", lambda n, p, seed: ONE_TRIANGLE_PACKING)
+        monkeypatch.setattr(construct, "_greedy_packing",
+                            greedy_with_extra_members(FAULTY_TRIANGLES[fault]))
+        code, out, err = run(capsys, [
+            "construct", "--s", "3", "--G", k3_file, "--n", "6", "--p", "0.5",
+            "--trials", "1", "--seed", "0",
+        ])
+        assert (code, out) == (3, "")
+        assert err == "internal error: ContractViolation: edge-flip accounting mismatch\n"
 
     def test_deep_blue_target_is_not_a_crash(self, capsys, tmp_path):
         target = tmp_path / "p1200.g"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from math import comb
@@ -5,7 +6,15 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import reference_erdos_tetali, reference_random_red
+from conftest import (
+    FAULTY_TRIANGLES,
+    ONE_TRIANGLE_PACKING,
+    greedy_with_extra_members,
+    reference_erdos_tetali,
+    reference_greedy_packing,
+    reference_random_red,
+)
+from ramseykit import construct
 from ramseykit.construct import (
     CHERNOFF_CHUNK,
     ConstructParams,
@@ -18,7 +27,7 @@ from ramseykit.construct import (
     trial_seed,
 )
 from ramseykit.detect import find_clique, find_copy
-from ramseykit.errors import CapacityError, InputError
+from ramseykit.errors import CapacityError, ContractViolation, InputError
 from ramseykit.graphs import MAX_PARSE_ORDER, TwoColoring, coloring_from_red, complete_graph
 
 
@@ -140,6 +149,49 @@ class TestRecolorPacking:
             recolored, packing = recolor_packing(col, s)
             assert col.red_count - recolored.red_count == comb(s, 2) * packing.size
             assert find_clique(recolored, "red", s) is None
+
+    @pytest.mark.parametrize("s", [3, 4, 5])
+    def test_residual_matches_reference_greedy(self, s):
+        # The residual rows are the greedy pass's own rows: they must give the
+        # coloring rebuilt from the red pairs the greedy by definition leaves.
+        # Every fifth coloring is all red.
+        for seed in range(30):
+            n = s + seed % 12
+            p = 1.0 if seed % 5 == 0 else 0.15 + 0.1 * (seed % 8)
+            col = random_coloring(n, p, seed)
+            members = reference_greedy_packing(col, s)
+            covered = {pair for m in members for pair in itertools.combinations(m, 2)}
+            want = TwoColoring(n, col.red - covered)
+            got, packing = recolor_packing(col, s)
+            assert list(packing.members) == members
+            assert got == want and got.red == want.red
+            assert got.red_count == want.red_count == col.red_count - len(covered)
+            assert got.red_adjacency_bits() == want.red_adjacency_bits()
+            assert got.blue_adjacency_bits() == want.blue_adjacency_bits()
+            assert col == random_coloring(n, p, seed), "the input coloring changed"
+
+
+class TestTrialContract:
+    """A faulty packing pass must break the trial's edge-flip accounting."""
+
+    PARAMS = ConstructParams(s=3, m=3, n_override=6, p_override=0.5, trials=1, seed=0)
+
+    @pytest.fixture(autouse=True)
+    def fixed_coloring(self, monkeypatch):
+        monkeypatch.setattr(construct, "random_coloring", lambda n, p, seed: ONE_TRIANGLE_PACKING)
+
+    def test_sound_packing_passes(self, monkeypatch):
+        monkeypatch.setattr(construct, "_greedy_packing", greedy_with_extra_members([]))
+        report = construct_witness(self.PARAMS, complete_graph(3))[0]
+        assert report.packing_size == 1
+        assert (report.red_edges_before, report.red_edges_after) == (7, 4)
+
+    @pytest.mark.parametrize("fault", sorted(FAULTY_TRIANGLES))
+    def test_faulty_member_breaks_accounting(self, monkeypatch, fault):
+        extra = FAULTY_TRIANGLES[fault]
+        monkeypatch.setattr(construct, "_greedy_packing", greedy_with_extra_members(extra))
+        with pytest.raises(ContractViolation, match="edge-flip accounting mismatch"):
+            construct_witness(self.PARAMS, complete_graph(3))
 
 
 class TestConstructWitness:

@@ -299,6 +299,19 @@ class TestPackingDecision:
         assert (naive_max_packing_size(col, s) >= k) == want
         assert packing_reaches(col, s, k) == want
 
+    # Schönheim maxima of triangle packings of K_n: 7, 8 and 12 for n = 7, 8
+    # and 9.  At K_7 k=7, K_8 k=8 and K_9 k=12 the vertex bound
+    # sum floor(deg/(s-1)) equals k * s exactly, so the exit must not fire.
+    # K_12 k=21 runs through the CLI in a subprocess with a timeout
+    # (test_cli), so that a search that no longer stops fails the suite
+    # instead of hanging it.
+    @pytest.mark.parametrize("n, k, want", [
+        (7, 7, True), (8, 8, True), (8, 9, False), (9, 12, True), (9, 13, False),
+    ])
+    def test_all_red_vertex_bound(self, n, k, want):
+        col = coloring_from_red(n, complete_graph(n).edges)
+        assert packing_reaches(col, 3, k) is want
+
     def test_target_search_stops_at_k(self):
         rng = random.Random(43)
         for _ in range(40):

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseykit.construct import random_coloring
-from ramseykit.detect import max_edge_disjoint_packing
+from ramseykit.construct import random_coloring, recolor_packing
 from ramseykit.errors import CapacityError, InputError, ParseError
 from ramseykit.graphs import (
     Graph,
@@ -63,48 +62,6 @@ class TestTypes:
         with pytest.raises(InputError):
             coloring_from_red(4, [(0, 4)])
 
-    def test_recolor_blue(self):
-        col = coloring_from_red(5, [(0, 1), (1, 3), (2, 4), (3, 4)])
-        out = col.recolor_blue([(3, 1), (2, 4)])
-        rebuilt = coloring_from_red(5, [(0, 1), (3, 4)])
-        assert out == rebuilt and col.red_count == 4
-        assert out.red_adjacency_bits() == rebuilt.red_adjacency_bits()
-        assert out.blue_adjacency_bits() == rebuilt.blue_adjacency_bits()
-        with pytest.raises(InputError):
-            col.recolor_blue([(0, 2)])
-
-    def test_recolor_blue_matches_rebuilt_coloring(self):
-        # Members of a greedy triangle packing, then every red pair left as
-        # a 2-clique: the result is the coloring rebuilt from the pairs left.
-        for seed in range(40):
-            n = 2 + seed % 11
-            col = random_coloring(n, 0.2 + 0.2 * (seed % 4), seed)
-            members = list(max_edge_disjoint_packing(col, 3).members)
-            covered = {pair for m in members for pair in itertools.combinations(m, 2)}
-            rest = sorted(col.red - covered)
-            members += [(v, u) for u, v in rest[::2]]
-            covered.update(rest[::2])
-            out = col.recolor_blue(members)
-            rebuilt = TwoColoring(n, col.red - covered)
-            assert out == rebuilt and out.red == rebuilt.red
-            assert out.red_count == rebuilt.red_count == col.red_count - len(covered)
-            assert out.red_adjacency_bits() == rebuilt.red_adjacency_bits()
-
-    @pytest.mark.parametrize("cliques", [
-        [(0, 3)],                   # a blue pair
-        [(0, 1, 2, 3)],             # a clique with a blue pair
-        [(0, 5)], [(-1, 0)],        # a vertex out of range
-        [(1, 1)],                   # a repeated vertex
-        [(0, 1, 2), (1, 2)],        # a pair shared by two members
-        [(2, 3), (3, 2)],           # one pair given twice
-    ])
-    def test_recolor_blue_rejects(self, cliques):
-        red = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
-        col = coloring_from_red(5, red)
-        with pytest.raises(InputError):
-            col.recolor_blue(cliques)
-        assert col == coloring_from_red(5, red) and col.red_count == 5
-
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
     def test_is_red_is_blue_agree_with_pair_set(self, n):
         # Ids from -2 to n + 1: a negative id must not read another row, and a
@@ -113,7 +70,7 @@ class TestTypes:
         rng = random.Random(n)
         built = TwoColoring(n, frozenset(p for p in pairs if rng.random() < 0.5))
         drawn = random_coloring(n, 0.5, n)
-        for col in (built, drawn, drawn.recolor_blue(sorted(drawn.red)[::3])):
+        for col in (built, drawn, recolor_packing(drawn, 3)[0]):
             red = set(col.red)
             for u in range(-2, n + 2):
                 for v in range(-2, n + 2):

@@ -106,6 +106,27 @@ class TestPlacementOracles:
                 assert (emb is not None) == want
                 assert emb is None or emb.validates(col, color)
 
+    def test_reused_pattern_matches_networkx(self):
+        # find_copy plans a pattern once per Graph; one Graph object, and an
+        # equal but distinct one, must keep matching networkx on every host.
+        for name, g in ORBIT_PATTERNS.items():
+            twin = graph_from_edges(g.n, sorted(g.edges))
+            assert twin == g and twin is not g
+            pattern = nx.Graph()
+            pattern.add_nodes_from(range(g.n))
+            pattern.add_edges_from(g.edges)
+            rng = random.Random(name)
+            for _ in range(8):
+                col = random_coloring_local(rng, rng.randint(3, 9), rng.random())
+                for color in ("red", "blue"):
+                    want = GraphMatcher(color_graph(col, color), pattern).subgraph_is_monomorphic()
+                    emb, twin_emb = find_copy(col, color, g), find_copy(col, color, twin)
+                    assert (emb is not None) == want, (name, col.red, color)
+                    assert (twin_emb is not None) == want
+                    if want:
+                        assert emb.validates(col, color) and twin_emb.validates(col, color)
+                        assert emb.assignment == twin_emb.assignment
+
     def test_pinned_copy_matches_brute_force(self):
         patterns = dict(GRAPHS_UP_TO_3_EDGES)
         patterns.update(ORBIT_PATTERNS)
