@@ -1,7 +1,7 @@
 """Closed-form evaluators for the bound formulas, with explicit constant
 conventions.
 
-Every suppressed constant defaults to 1 and every logarithm is natural; the
+Every suppressed constant is set to 1 and every logarithm is natural; the
 resulting numbers are descriptive asymptotic quantities, not certified bounds
 at finite m, and each report says so in its caveat.  Reports sharing a
 `family` tag form lower/upper pairs for consistency checks.  The two finite
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import InputError
 from .graphs import Graph, rho_star
@@ -30,16 +29,6 @@ class BoundReport:
     value: float
     constant_caveat: str
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "family": self.family,
-            "role": self.role,
-            "inputs": dict(self.inputs),
-            "value": self.value,
-            "constant_caveat": self.constant_caveat,
-        }
-
 
 def theorem3_exponent(H: Graph) -> Fraction:
     """Exact exponent rho*/(1 + rho*) governing the general lower bound."""
@@ -55,7 +44,6 @@ def evaluate_all(
     k: int | None = None,
     pq: tuple[int, int] | None = None,
     ell: int = 2,
-    constants: Mapping[str, float] | None = None,
 ) -> list[BoundReport]:
     """Evaluate every bound formula applicable to the supplied inputs.
 
@@ -63,9 +51,8 @@ def evaluate_all(
     improved lower bound with its disjoint-clique upper counterpart, and the
     max-value upper bound.  With s = 3 the exact 2m+1 ceiling and the tree
     equality are added.  Reports needing t, H, k or (p, q) appear only when
-    those are given.  `constants` maps report names to replacement constants
-    (default 1 everywhere); for the m^(c*sqrt(t)) report the constant sits in
-    the exponent.
+    those are given.  An input too large to evaluate in floating point
+    raises InputError.
     """
     if s < 3:
         raise InputError("s must be at least 3")
@@ -73,11 +60,6 @@ def evaluate_all(
         raise InputError("m must exceed e (needs ln m > 1)")
     if ell < 2:
         raise InputError("chromatic number ell must be at least 2")
-    overrides = dict(constants or {})
-
-    def con(name: str) -> float:
-        return float(overrides.get(name, 1.0))
-
     logm = math.log(m)
     reports: list[BoundReport] = []
 
@@ -87,85 +69,88 @@ def evaluate_all(
             raise InputError(f"report {name} evaluated to a non-positive value")
         reports.append(BoundReport(name, family, role, inputs, value, caveat))
 
-    add(
-        "diagonal_min", "diagonal", "equality", {"m": m},
-        con("diagonal_min") * m / logm,
-        "order of the diagonal minimum over graphs of size m; " + ASYMPTOTIC_CAVEAT,
-    )
-    add(
-        "efrs_lower", "efrs", "lower", {"s": s, "m": m},
-        con("efrs_lower") * m ** (s / (s + 2)),
-    )
-    add(
-        "efrs_upper", "efrs", "upper", {"s": s, "m": m},
-        con("efrs_upper") * m ** ((s - 1) / s),
-    )
-    add(
-        "thm1_lower", "thm1", "lower", {"s": s, "m": m},
-        con("thm1_lower") * (m / logm) ** ((s + 1) / (s + 3)),
-    )
-    add(
-        "thm1_upper", "thm1", "upper", {"s": s, "m": m},
-        con("thm1_upper") * m ** ((s - 1) / s) / logm ** ((s - 2) / s),
-    )
-    if s == 3:
+    try:
         add(
-            "sidorenko_upper", "sidorenko", "upper", {"m": m},
-            float(2 * m + 1),
-            "exact finite bound for isolated-vertex-free G; no suppressed constant",
+            "diagonal_min", "diagonal", "equality", {"m": m},
+            m / logm,
+            "order of the diagonal minimum over graphs of size m; " + ASYMPTOTIC_CAVEAT,
         )
         add(
-            "tree_equality", "sidorenko", "equality", {"m": m},
-            float(2 * m + 1),
-            "exact value when G is a tree with m edges; no suppressed constant",
-        )
-    add(
-        "thm2_upper", "thm2", "upper", {"s": s, "m": m},
-        con("thm2_upper") * m ** ((s - 1) / 2) / logm ** ((s - 3) / 2),
-    )
-    if k is not None:
-        if k < 2:
-            raise InputError("clique order k must be at least 2")
-        add(
-            "clique_vs_clique_upper", "clique", "upper", {"s": s, "k": k},
-            con("clique_vs_clique_upper") * k ** (s - 1) / math.log(k) ** (s - 2),
-        )
-    if H is not None:
-        rho = rho_star(H)
-        expo = rho / (1 + rho)
-        add(
-            "thm3_lower", "thm3", "lower",
-            {"m": m, "rho_star": float(rho), "exponent": float(expo)},
-            con("thm3_lower") * (m / logm) ** float(expo),
-        )
-    if pq is not None:
-        p, q = pq
-        if p < 1 or q < p:
-            raise InputError("complete bipartite parameters need 1 <= p <= q")
-        add(
-            "kpq_lower", "kpq", "lower", {"p": p, "q": q, "m": m},
-            con("kpq_lower") * m ** (p / (1 + p)),
-            "limit exponent as q grows (epsilon suppressed); " + ASYMPTOTIC_CAVEAT,
+            "efrs_lower", "efrs", "lower", {"s": s, "m": m},
+            m ** (s / (s + 2)),
         )
         add(
-            "kpq_union_upper", "kpq", "upper", {"p": p, "q": q, "m": m},
-            con("kpq_union_upper") * m ** (p / (1 + p)),
-            "achieved by a disjoint union of cliques of order m^(1/(p+1)); "
-            + ASYMPTOTIC_CAVEAT,
+            "efrs_upper", "efrs", "upper", {"s": s, "m": m},
+            m ** ((s - 1) / s),
+        )
+        add(
+            "thm1_lower", "thm1", "lower", {"s": s, "m": m},
+            (m / logm) ** ((s + 1) / (s + 3)),
+        )
+        add(
+            "thm1_upper", "thm1", "upper", {"s": s, "m": m},
+            m ** ((s - 1) / s) / logm ** ((s - 2) / s),
+        )
+        if s == 3:
+            add(
+                "sidorenko_upper", "sidorenko", "upper", {"m": m},
+                float(2 * m + 1),
+                "exact finite bound for isolated-vertex-free G; no suppressed constant",
+            )
+            add(
+                "tree_equality", "sidorenko", "equality", {"m": m},
+                float(2 * m + 1),
+                "exact value when G is a tree with m edges; no suppressed constant",
+            )
+        add(
+            "thm2_upper", "thm2", "upper", {"s": s, "m": m},
+            m ** ((s - 1) / 2) / logm ** ((s - 3) / 2),
         )
         if k is not None:
+            if k < 2:
+                raise InputError("clique order k must be at least 2")
             add(
-                "kpq_vs_clique_upper", "kpq", "upper", {"p": p, "q": q, "k": k},
-                con("kpq_vs_clique_upper") * float(k) ** p,
+                "clique_vs_clique_upper", "clique", "upper", {"s": s, "k": k},
+                k ** (s - 1) / math.log(k) ** (s - 2),
             )
-    if t is not None:
-        if t < 1:
-            raise InputError("size t must be at least 1")
-        add(
-            "sqrt_t_upper", "sqrt_t", "upper",
-            {"t": t, "m": m, "ell": ell},
-            m ** (con("sqrt_t_upper") * math.sqrt(t)),
-            "exponent constant depends on the chromatic number ell "
-            f"(given: {ell}) and is set to 1 here; " + ASYMPTOTIC_CAVEAT,
-        )
+        if H is not None:
+            rho = rho_star(H)
+            expo = rho / (1 + rho)
+            add(
+                "thm3_lower", "thm3", "lower",
+                {"m": m, "rho_star": float(rho), "exponent": float(expo)},
+                (m / logm) ** float(expo),
+            )
+        if pq is not None:
+            p, q = pq
+            if p < 1 or q < p:
+                raise InputError("complete bipartite parameters need 1 <= p <= q")
+            add(
+                "kpq_lower", "kpq", "lower", {"p": p, "q": q, "m": m},
+                m ** (p / (1 + p)),
+                "limit exponent as q grows (epsilon suppressed); " + ASYMPTOTIC_CAVEAT,
+            )
+            add(
+                "kpq_union_upper", "kpq", "upper", {"p": p, "q": q, "m": m},
+                m ** (p / (1 + p)),
+                "achieved by a disjoint union of cliques of order m^(1/(p+1)); "
+                + ASYMPTOTIC_CAVEAT,
+            )
+            if k is not None:
+                add(
+                    "kpq_vs_clique_upper", "kpq", "upper", {"p": p, "q": q, "k": k},
+                    float(k) ** p,
+                )
+        if t is not None:
+            if t < 1:
+                raise InputError("size t must be at least 1")
+            add(
+                "sqrt_t_upper", "sqrt_t", "upper",
+                {"t": t, "m": m, "ell": ell},
+                m ** math.sqrt(t),
+                "exponent constant depends on the chromatic number ell "
+                f"(given: {ell}) and is set to 1 here; " + ASYMPTOTIC_CAVEAT,
+            )
+    except OverflowError:
+        raise InputError("an input is too large to evaluate in floating point") from None
     return reports

@@ -14,6 +14,7 @@ changes bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -39,20 +40,12 @@ from .graphs import (
 )
 
 
-def _load_graph(path: str):
+def _load(path: str, parse):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read graph file {path}: {exc}") from exc
-    return parse_graph(text)
-
-
-def _load_coloring(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read coloring file {path}: {exc}") from exc
-    return parse_coloring(text)
+        raise InputError(f"cannot read file {path}: {exc}") from exc
+    return parse(text)
 
 
 def _emit(record: dict) -> None:
@@ -60,13 +53,13 @@ def _emit(record: dict) -> None:
 
 
 def cmd_bounds(args) -> int:
-    H = _load_graph(args.graph) if args.graph else None
+    H = _load(args.graph, parse_graph) if args.graph else None
     pq = tuple(args.pq) if args.pq else None
     reports = bounds_mod.evaluate_all(
         args.s, args.m, t=args.t, H=H, k=args.k, pq=pq, ell=args.ell
     )
     if args.json:
-        print(json.dumps([r.as_dict() for r in reports], indent=2))
+        print(json.dumps([dataclasses.asdict(r) for r in reports], indent=2))
     else:
         for r in reports:
             print(f"{r.name} {r.value:g} [{r.role}] {r.constant_caveat}")
@@ -74,7 +67,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    G = _load_graph(args.G)
+    G = _load(args.G, parse_graph)
     params = ConstructParams(
         s=args.s,
         m=G.edge_count,
@@ -90,14 +83,8 @@ def cmd_construct(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     trial_records = []
     for r in reports:
-        record = {
-            "trial_index": r.trial_index,
-            "packing_size": r.packing_size,
-            "red_Ks_free": r.red_Ks_free,
-            "blue_G_status": r.blue_G_status,
-            "red_edges_before": r.red_edges_before,
-            "red_edges_after": r.red_edges_after,
-        }
+        # Every report field but the coloring, in field order.
+        record = {key: value for key, value in vars(r).items() if key != "coloring"}
         if out_dir is not None:
             name = f"trial_{r.trial_index:04d}.coloring"
             (out_dir / name).write_text(serialize_coloring(r.coloring), encoding="utf-8")
@@ -121,8 +108,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    col = _load_coloring(args.coloring)
-    G = _load_graph(args.G)
+    col = _load(args.coloring, parse_coloring)
+    G = _load(args.G, parse_graph)
     try:
         emb = embed_general(col, G, args.s, node_budget=args.node_budget)
     except EmbedFailure as exc:
@@ -134,7 +121,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    col = _load_coloring(args.coloring)
+    col = _load(args.coloring, parse_coloring)
     mode = "exact" if args.exact else "greedy"
     packing = max_edge_disjoint_packing(col, args.s, mode)
     _emit({
@@ -147,8 +134,8 @@ def cmd_pack(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    H = _load_graph(args.H)
-    G = _load_graph(args.G)
+    H = _load(args.H, parse_graph)
+    G = _load(args.G, parse_graph)
     value = ramsey_number(H, G, args.cap)
     if value is None:
         _emit({"ramsey": None, "greater_than": args.cap})

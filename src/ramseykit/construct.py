@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .detect import (
+    EXACT_PACKING_MAX_N,
     CliquePacking,
     _greedy_packing,
     check_node_budget,
@@ -29,9 +30,6 @@ from .graphs import MAX_PARSE_ORDER, Graph, TwoColoring
 
 BlueStatus = Literal["found", "absent", "unknown"]
 
-# The validator decides X0 >= k per sample by an exact search (worst case
-# exponential in the red clique count), so n is capped like exact packing.
-ERDOS_TETALI_MAX_N = 12
 # Binomial draws per chunk in chernoff_tail_check; numpy draws Bin(m, p) as
 # int64, which bounds m.
 CHERNOFF_CHUNK = 1 << 16
@@ -42,9 +40,7 @@ CHERNOFF_MAX_M = 2**63 - 1
 class ConstructParams:
     """Knobs for the witness-search trials.
 
-    `m` is the edge budget the parameter formulas are evaluated at (normally
-    e(G)); `scale` multiplies the derived order n, standing in for the
-    suppressed constant of the lower-bound theorem.
+    `m` is the edge budget the formulas are evaluated at, normally e(G).
     """
 
     s: int
@@ -53,7 +49,6 @@ class ConstructParams:
     p_override: float | None = None
     trials: int = 1
     seed: int = 0
-    scale: float = 1.0
     node_budget: int | None = None
 
     def __post_init__(self):
@@ -79,17 +74,17 @@ class TrialReport:
     red_edges_after: int
 
 
-def theorem1_parameters(s: int, m: int, scale: float = 1.0) -> tuple[int, float]:
+def theorem1_parameters(s: int, m: int) -> tuple[int, float]:
     """Order n and red probability p for the deletion construction.
 
-    n = scale * (1/(3 s^3)) * (m / ln m)^((s+1)/(s+3)), floored and clamped to
+    n = (1/(3 s^3)) * (m / ln m)^((s+1)/(s+3)), floored and clamped to
     at least 2; p = (1/(3s)) * n^(-2/(s+1)) evaluated at the floored n.
     """
     if s < 3:
         raise InputError("s must be at least 3")
     if m <= math.e:
         raise InputError("edge budget m must exceed e (needs ln m > 1)")
-    n_real = scale * (m / math.log(m)) ** ((s + 1) / (s + 3)) / (3 * s**3)
+    n_real = (m / math.log(m)) ** ((s + 1) / (s + 3)) / (3 * s**3)
     n = max(2, math.floor(n_real))
     p = (1.0 / (3 * s)) * n ** (-2.0 / (s + 1))
     return n, p
@@ -143,7 +138,7 @@ def _resolve_n_p(params: ConstructParams) -> tuple[int, float]:
     if params.n_override is not None:
         n = params.n_override
     else:
-        n, _ = theorem1_parameters(params.s, params.m, params.scale)
+        n, _ = theorem1_parameters(params.s, params.m)
     if params.p_override is not None:
         p = params.p_override
     else:
@@ -240,10 +235,10 @@ def erdos_tetali_check(n: int, p: float, s: int, k: int, trials: int,
 
     Each sample decides X0 >= k with `packing_reaches`, which stops at the
     k-th edge-disjoint clique instead of computing X0.  Deciding is still an
-    exact search in the worst case, hence the n cap.
+    exact search in the worst case, hence the n cap of exact packing.
     """
-    if n > ERDOS_TETALI_MAX_N:
-        raise CapacityError(f"exact packing oracle capped at n <= {ERDOS_TETALI_MAX_N}")
+    if n > EXACT_PACKING_MAX_N:
+        raise CapacityError(f"exact packing oracle capped at n <= {EXACT_PACKING_MAX_N}")
     if n < 0:
         raise InputError("n must be non-negative")
     if s < 3:

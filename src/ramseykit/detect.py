@@ -15,7 +15,7 @@ from typing import Iterator, Literal, Sequence
 
 from .bitset import bits_of, iter_bits
 from .errors import CapacityError, InputError, SearchBudgetExceeded
-from .graphs import Graph, TwoColoring, _normalize_pair
+from .graphs import Graph, TwoColoring
 
 Color = Literal["red", "blue"]
 
@@ -41,15 +41,6 @@ class CliquePacking:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def pairs(self) -> set[tuple[int, int]]:
-        """All unordered pairs covered by the members."""
-        covered: set[tuple[int, int]] = set()
-        for member in self.members:
-            for i in range(len(member)):
-                for j in range(i + 1, len(member)):
-                    covered.add(_normalize_pair(member[i], member[j]))
-        return covered
 
 
 @dataclass(frozen=True)
@@ -215,10 +206,11 @@ def _pattern_plan(G: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tup
     placement order (decreasing degree, ties by id), the degree at each
     position, and the earlier positions adjacent to each position."""
     gdeg = G.degrees()
-    gadj = G.adjacency_sets()
+    gadj = G.adjacency_bits()
     order = sorted(range(G.n), key=lambda g: (-gdeg[g], g))
     pos = {g: i for i, g in enumerate(order)}
-    placed_nbrs = tuple(tuple(pos[h] for h in gadj[g] if pos[h] < i) for i, g in enumerate(order))
+    placed_nbrs = tuple(tuple(pos[h] for h in iter_bits(gadj[g]) if pos[h] < i)
+                        for i, g in enumerate(order))
     return tuple(order), tuple(gdeg[g] for g in order), placed_nbrs
 
 

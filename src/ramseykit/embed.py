@@ -25,6 +25,14 @@ def _check_no_isolated(G: Graph):
         raise InputError("target graph must have no isolated vertices")
 
 
+def _revalidated(col: TwoColoring, G: Graph, assignment: dict[int, int]) -> EmbeddingMap:
+    """The embedding `assignment` of G, checked blue in `col` from scratch."""
+    emb = EmbeddingMap(G, assignment)
+    if not emb.validates(col, "blue"):
+        raise ContractViolation("embedding failed revalidation")
+    return emb
+
+
 def _greedy_place(red: list[int], host_mask: int, tmax: int, G: Graph,
                   order: list[int], assignment: dict[int, int], used: int,
                   failure: type[Exception]) -> int:
@@ -35,10 +43,10 @@ def _greedy_place(red: list[int], host_mask: int, tmax: int, G: Graph,
     host vertices free of red edges into the placed neighbor set Y is at
     least |host| - tmax * |Y|.
     """
-    gadj = G.adjacency_sets()
+    gadj = G.adjacency_bits()
     host_size = host_mask.bit_count()
     for v in order:
-        ys = [assignment[u] for u in gadj[v] if u in assignment]
+        ys = [assignment[u] for u in iter_bits(gadj[v]) if u in assignment]
         bad = 0
         for y in ys:
             bad |= red[y]
@@ -105,17 +113,15 @@ def embed_s3(col: TwoColoring, G: Graph) -> EmbeddingMap:
         rest, used = _place_high_degree(X, comp, G, assignment, used)
         _greedy_place(red, block_mask, t, G, rest, assignment, used, ContractViolation)
 
-    emb = EmbeddingMap(G, assignment)
-    if not emb.validates(col, "blue"):
-        raise ContractViolation("embedding failed revalidation")
-    return emb
+    return _revalidated(col, G, assignment)
 
 
-def embed_general(col: TwoColoring, G: Graph, s: int, c1: float = 1.0,
+def embed_general(col: TwoColoring, G: Graph, s: int,
                   node_budget: int | None = None) -> EmbeddingMap:
     """Blue embedding of G into a coloring with no red K_s.
 
-    For s > 3: if some vertex has red degree >= d = c1 * m^((s-2)/2) /
+    s = 3 goes to embed_s3, which checks its own preconditions.
+    For s > 3: if some vertex has red degree >= d = m^((s-2)/2) /
     (ln m)^((s-4)/2), recurse into its red neighborhood with s-1 (that
     neighborhood has no red K_{s-1}); otherwise find a blue clique of order
     k = floor(sqrt(m ln m)) and greedily place around it.  Both the missing
@@ -126,11 +132,11 @@ def embed_general(col: TwoColoring, G: Graph, s: int, c1: float = 1.0,
     if s < 3:
         raise InputError("s must be at least 3")
     check_node_budget(node_budget)
+    if s == 3:
+        return embed_s3(col, G)
     _check_no_isolated(G)
     if find_clique(col, "red", s) is not None:
         raise InputError(f"coloring contains a red clique of order {s}")
-    if s == 3:
-        return embed_s3(col, G)
     if G.n > col.n:
         raise EmbedFailure("target graph has more vertices than the host")
     if G.n == 0:
@@ -139,23 +145,19 @@ def embed_general(col: TwoColoring, G: Graph, s: int, c1: float = 1.0,
     m = G.edge_count
     logm = math.log(m)
     denom = logm ** ((s - 4) / 2)
-    d = math.inf if denom == 0.0 else c1 * m ** ((s - 2) / 2) / denom
+    d = math.inf if denom == 0.0 else m ** ((s - 2) / 2) / denom
 
     vstar, dmax = max_red_degree_vertex(col)
     if dmax >= d:
         red = col.red_adjacency_bits()
         sub, mapping = induced_coloring(col, iter_bits(red[vstar]))
         try:
-            inner = embed_general(sub, G, s - 1, c1, node_budget)
+            inner = embed_general(sub, G, s - 1, node_budget)
         except InputError as exc:
             # The descent can bottom out on a neighborhood too small for the
             # s = 3 routine; that is a desk-scale failure, not caller misuse.
             raise EmbedFailure(f"red-neighborhood descent failed: {exc}") from exc
-        assignment = {g: mapping[h] for g, h in inner.assignment.items()}
-        emb = EmbeddingMap(G, assignment)
-        if not emb.validates(col, "blue"):
-            raise ContractViolation("lifted embedding failed revalidation")
-        return emb
+        return _revalidated(col, G, {g: mapping[h] for g, h in inner.assignment.items()})
 
     k = max(1, math.floor(math.sqrt(m * logm)))
     try:
@@ -169,10 +171,7 @@ def embed_general(col: TwoColoring, G: Graph, s: int, c1: float = 1.0,
     assignment: dict[int, int] = {}
     rest, used = _place_high_degree(list(X), list(range(G.n)), G, assignment, 0)
     _greedy_place(red, (1 << col.n) - 1, dmax, G, rest, assignment, used, EmbedFailure)
-    emb = EmbeddingMap(G, assignment)
-    if not emb.validates(col, "blue"):
-        raise ContractViolation("embedding failed revalidation")
-    return emb
+    return _revalidated(col, G, assignment)
 
 
 def iterated_blue_cliques(col: TwoColoring, s: int, k: int, count: int,

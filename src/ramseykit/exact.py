@@ -48,7 +48,7 @@ from .detect import _cliques, _place, find_copy
 from .errors import CapacityError, InputError
 from .graphs import Graph, TwoColoring
 
-DEFAULT_EDGE_CAP = 55
+EDGE_CAP = 55
 
 
 def is_witness(col: TwoColoring, H: Graph, G: Graph) -> bool:
@@ -78,7 +78,7 @@ class _Pattern:
         self.pinned_nbrs: list[list[list[int]]] = []
         if g.n > n:
             return
-        adj, deg, bits = g.adjacency_sets(), g.degrees(), g.adjacency_bits()
+        deg, bits = g.degrees(), g.adjacency_bits()
         free = [(1 << g.n) - 1] * (g.n - 2)
         for a, b in sorted([*g.edges, *((b, a) for a, b in g.edges)]):
             if any(_place(bits, [1 << a, 1 << b, *free], nbrs) is not None
@@ -88,13 +88,13 @@ class _Pattern:
                           key=lambda x: (-deg[x], x))
             order = [a, b, *rest]
             pos = {x: i for i, x in enumerate(order)}
-            self.pinned_nbrs.append([[pos[y] for y in adj[x] if pos[y] < i]
+            self.pinned_nbrs.append([[pos[y] for y in iter_bits(bits[x]) if pos[y] < i]
                                      for i, x in enumerate(order)])
 
 
 def _has_pinned_copy(adj: list[int], n: int, pat: _Pattern, u: int, v: int) -> bool:
     """Does the host graph contain a copy of the pattern using edge (u, v)?"""
-    if pat.n > n or not pat.pinned_nbrs:
+    if not pat.pinned_nbrs:
         return False
     if pat.clique_order:
         return next(_cliques(adj, adj[u] & adj[v], pat.clique_order - 2), None) is not None
@@ -120,8 +120,7 @@ def _breaks_lex(red_adj: list[int], u: int, v: int) -> bool:
     return False
 
 
-def find_witness(n: int, H: Graph, G: Graph,
-                 edge_cap: int = DEFAULT_EDGE_CAP) -> TwoColoring | None:
+def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
     """First witness coloring of K_n under the red-before-blue DFS, or None.
 
     Edges are fixed in row-major order, red before blue.  Only colorings
@@ -135,8 +134,8 @@ def find_witness(n: int, H: Graph, G: Graph,
     if n < 1:
         raise InputError("order must be at least 1")
     pairs = n * (n - 1) // 2
-    if pairs > edge_cap:
-        raise CapacityError(f"K_{n} has {pairs} edges, above the cap of {edge_cap}")
+    if pairs > EDGE_CAP:
+        raise CapacityError(f"K_{n} has {pairs} edges, above the cap of {EDGE_CAP}")
     # An edgeless pattern that fits in K_n is present in every coloring.
     if H.edge_count == 0 and H.n <= n:
         return None
@@ -147,22 +146,19 @@ def find_witness(n: int, H: Graph, G: Graph,
     pat_h, pat_g = _Pattern(H, n), _Pattern(G, n)
     red_adj = [0] * n
     blue_adj = [0] * n
-    red_pairs: list[tuple[int, int]] = []
 
     def dfs(i: int) -> TwoColoring | None:
         if i == pairs:
-            return TwoColoring(n, frozenset(red_pairs))
+            return TwoColoring(n, [(u, v) for u, v in edge_list if red_adj[u] >> v & 1])
         u, v = edge_list[i]
         bu, bv = 1 << u, 1 << v
 
         red_adj[u] |= bv
         red_adj[v] |= bu
-        red_pairs.append((u, v))
         if not _has_pinned_copy(red_adj, n, pat_h, u, v):
             witness = dfs(i + 1)
             if witness is not None:
                 return witness
-        red_pairs.pop()
         red_adj[u] &= ~bv
         red_adj[v] &= ~bu
 
@@ -180,8 +176,7 @@ def find_witness(n: int, H: Graph, G: Graph,
     return dfs(0)
 
 
-def ramsey_number(H: Graph, G: Graph, n_cap: int,
-                  edge_cap: int = DEFAULT_EDGE_CAP) -> int | None:
+def ramsey_number(H: Graph, G: Graph, n_cap: int) -> int | None:
     """Smallest n with no witness coloring, or None if witnesses persist
     through n_cap (the value is then greater than n_cap).
 
@@ -191,6 +186,6 @@ def ramsey_number(H: Graph, G: Graph, n_cap: int,
     if n_cap < 1:
         raise InputError("n_cap must be at least 1")
     for n in range(1, n_cap + 1):
-        if find_witness(n, H, G, edge_cap) is None:
+        if find_witness(n, H, G) is None:
             return n
     return None

@@ -59,18 +59,7 @@ class Graph:
         return _normalize_pair(u, v) in self.edges
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def adjacency_sets(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return [row.bit_count() for row in self.adjacency_bits()]
 
     def adjacency_bits(self) -> list[int]:
         adj = [0] * self.n
@@ -81,7 +70,7 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by least vertex."""
-        adj = self.adjacency_sets()
+        adj = self.adjacency_bits()
         seen = [False] * self.n
         comps = []
         for start in range(self.n):
@@ -92,7 +81,7 @@ class Graph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in adj[v]:
+                for w in iter_bits(adj[v]):
                     if not seen[w]:
                         seen[w] = True
                         stack.append(w)
@@ -253,18 +242,18 @@ def density(H: Graph) -> Fraction:
     return Fraction(H.edge_count - 1, H.n - 2)
 
 
-def rho_star(H: Graph, cap: int = RHO_STAR_MAX_VERTICES) -> Fraction:
+def rho_star(H: Graph) -> Fraction:
     """Maximum of density over all subgraphs of H, exact.
 
     For a fixed vertex subset the densest subgraph on it is the induced one,
     so it suffices to maximize over induced subgraphs on >= 3 vertices.  The
-    enumeration is 2^v; `cap` bounds v to keep that sane.
+    enumeration is 2^v; RHO_STAR_MAX_VERTICES bounds v to keep that sane.
     """
     v = H.n
     if v < 3:
         raise InputError("rho_star is undefined below 3 vertices")
-    if v > cap:
-        raise CapacityError(f"rho_star enumerates 2^{v} subsets; cap is {cap} vertices")
+    if v > RHO_STAR_MAX_VERTICES:
+        raise CapacityError(f"rho_star enumerates 2^{v} subsets; cap is {RHO_STAR_MAX_VERTICES} vertices")
     adj = H.adjacency_bits()
     ecount = [0] * (1 << v)
     best_num, best_den = None, 1
@@ -304,6 +293,9 @@ def union_of_cliques_params(m: int, s: int) -> tuple[int, int]:
 def union_of_cliques(m: int, s: int) -> Graph:
     """Vertex-disjoint copies of K_k with at least m edges in total."""
     k, count = union_of_cliques_params(m, s)
+    # Checked before any edge is built: parse_graph must read the graph back.
+    if k * count > MAX_PARSE_ORDER:
+        raise CapacityError(f"{count} copies of K_{k} exceed the cap of {MAX_PARSE_ORDER} vertices")
     edges = []
     for c in range(count):
         base = c * k

@@ -223,7 +223,10 @@ def all_arcs_pinned_copy(adj: list[int], n: int, G: Graph, u: int, v: int) -> bo
     ways round, and the other vertices of G are mapped by plain recursion."""
     if not adj[u] >> v & 1:
         return False
-    gadj = G.adjacency_sets()
+    gadj: list[set[int]] = [set() for _ in range(G.n)]
+    for a, b in G.edges:
+        gadj[a].add(b)
+        gadj[b].add(a)
 
     def extend(image: dict[int, int], rest: list[int]) -> bool:
         if not rest:

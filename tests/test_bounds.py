@@ -105,13 +105,6 @@ class TestEvaluateAll:
         assert rep.inputs["ell"] == 2
         assert "ell" in rep.constant_caveat
 
-    def test_constant_override(self):
-        base = by_name(evaluate_all(3, 1000))["thm1_lower"].value
-        scaled = by_name(evaluate_all(3, 1000, constants={"thm1_lower": 2.0}))[
-            "thm1_lower"
-        ].value
-        assert scaled == pytest.approx(2 * base, rel=1e-12)
-
     def test_domain_errors(self):
         with pytest.raises(InputError):
             evaluate_all(2, 100)

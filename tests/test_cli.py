@@ -72,6 +72,14 @@ class TestBounds:
         names = {r["name"] for r in data}
         assert {"thm1_lower", "thm1_upper", "thm3_lower", "sqrt_t_upper"} <= names
 
+    @pytest.mark.parametrize("flag", ["--m", "--k", "--t", "--s"])
+    def test_integer_too_large_for_a_float_exits_2(self, capsys, flag):
+        flags = {"--s": "3", "--m": "1000", flag: "1" + "0" * 400}
+        code, out, err = run(capsys, ["bounds", *itertools.chain(*flags.items())])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestConstruct:
     def test_witness_run_exit_0(self, capsys, k3_file, tmp_path):
@@ -239,6 +247,15 @@ class TestGenUnion:
         comps = g.components()
         assert len(comps) == 4 and all(len(c) == 8 for c in comps)
         assert parse_graph(out_file.read_text()) == g
+
+    @pytest.mark.parametrize("m,s", [(10**6, 4), (10**12, 3)])
+    def test_order_above_parse_cap_exits_2(self, capsys, m, s):
+        # 17,110 and about 6.6 * 10^7 vertices.  The cap is checked before any
+        # edge is built: m = 10^12 would ask for about 10^12 edges.
+        code, out, err = run(capsys, ["gen-union", "--m", str(m), "--s", str(s)])
+        assert code == 2
+        assert out == ""
+        assert "cap of 10000" in err
 
 
 class TestStats:

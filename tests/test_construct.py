@@ -67,12 +67,6 @@ class TestTheorem1Parameters:
         with pytest.raises(InputError):
             theorem1_parameters(2, 100)
 
-    def test_scale_multiplies_n(self):
-        n1, _ = theorem1_parameters(3, 10**6, scale=1.0)
-        n2, _ = theorem1_parameters(3, 10**6, scale=2.0)
-        assert n2 == max(2, 2 * 21)
-        assert n1 == 21
-
 
 class TestRandomColoring:
     def test_p0_all_blue(self):

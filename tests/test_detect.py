@@ -176,7 +176,8 @@ class TestPacking:
         for _ in range(20):
             col = random_coloring_local(rng, rng.randint(4, 9), rng.random())
             packing = max_edge_disjoint_packing(col, 3)
-            covered = packing.pairs()
+            covered = {pair for member in packing.members
+                       for pair in itertools.combinations(member, 2)}
             for combo in itertools.combinations(range(col.n), 3):
                 pairs = list(itertools.combinations(combo, 2))
                 if all(col.is_red(u, v) for u, v in pairs):

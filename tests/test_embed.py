@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_bipartite_red_coloring, random_connected_graph
+from ramseykit import embed
 from ramseykit.detect import find_copy
 from ramseykit.embed import embed_general, embed_s3, iterated_blue_cliques
 from ramseykit.errors import EmbedFailure, InputError
@@ -75,6 +76,24 @@ class TestEmbedGeneral:
         col = TwoColoring(6)
         emb = embed_general(col, path_graph(3), 3)
         assert emb.validates(col, "blue")
+
+    def test_one_red_clique_search_per_call(self, monkeypatch):
+        # s = 3 goes straight to embed_s3, whose own check is the only one.
+        searched = []
+        find_clique = embed.find_clique
+
+        def counting(col, color, s, *args):
+            if color == "red":
+                searched.append(s)
+            return find_clique(col, color, s, *args)
+
+        monkeypatch.setattr(embed, "find_clique", counting)
+        embed_general(TwoColoring(6), path_graph(3), 3)
+        assert searched == [3]
+        # The descent from s = 4 makes one embed_general(..., 3) call.
+        searched.clear()
+        embed_general(coloring_from_red(10, [(0, i) for i in range(1, 10)]), path_graph(4), 4)
+        assert searched == [4, 3]
 
     def test_all_blue_s4(self):
         g = path_graph(6)

@@ -224,7 +224,7 @@ class TestRamseyNumber:
             (K3, complete_graph(4), 9), (C4, C4, 6), (C4, complete_graph(4), 10),
         ]
         for H, G, r in table:
-            assert ramsey_number(H, G, r, edge_cap=55) == r
+            assert ramsey_number(H, G, r) == r
 
     def test_color_swap_symmetry(self):
         pairs = [
