@@ -52,7 +52,7 @@ def evaluate_all(
     max-value upper bound.  With s = 3 the exact 2m+1 ceiling and the tree
     equality are added.  Reports needing t, H, k or (p, q) appear only when
     those are given.  An input too large to evaluate in floating point
-    raises InputError.
+    raises Python's own overflow error, which the CLI reports as bad input.
     """
     if s < 3:
         raise InputError("s must be at least 3")
@@ -69,88 +69,85 @@ def evaluate_all(
             raise InputError(f"report {name} evaluated to a non-positive value")
         reports.append(BoundReport(name, family, role, inputs, value, caveat))
 
-    try:
+    add(
+        "diagonal_min", "diagonal", "equality", {"m": m},
+        m / logm,
+        "order of the diagonal minimum over graphs of size m; " + ASYMPTOTIC_CAVEAT,
+    )
+    add(
+        "efrs_lower", "efrs", "lower", {"s": s, "m": m},
+        m ** (s / (s + 2)),
+    )
+    add(
+        "efrs_upper", "efrs", "upper", {"s": s, "m": m},
+        m ** ((s - 1) / s),
+    )
+    add(
+        "thm1_lower", "thm1", "lower", {"s": s, "m": m},
+        (m / logm) ** ((s + 1) / (s + 3)),
+    )
+    add(
+        "thm1_upper", "thm1", "upper", {"s": s, "m": m},
+        m ** ((s - 1) / s) / logm ** ((s - 2) / s),
+    )
+    if s == 3:
         add(
-            "diagonal_min", "diagonal", "equality", {"m": m},
-            m / logm,
-            "order of the diagonal minimum over graphs of size m; " + ASYMPTOTIC_CAVEAT,
+            "sidorenko_upper", "sidorenko", "upper", {"m": m},
+            float(2 * m + 1),
+            "exact finite bound for isolated-vertex-free G; no suppressed constant",
         )
         add(
-            "efrs_lower", "efrs", "lower", {"s": s, "m": m},
-            m ** (s / (s + 2)),
+            "tree_equality", "sidorenko", "equality", {"m": m},
+            float(2 * m + 1),
+            "exact value when G is a tree with m edges; no suppressed constant",
+        )
+    add(
+        "thm2_upper", "thm2", "upper", {"s": s, "m": m},
+        m ** ((s - 1) / 2) / logm ** ((s - 3) / 2),
+    )
+    if k is not None:
+        if k < 2:
+            raise InputError("clique order k must be at least 2")
+        add(
+            "clique_vs_clique_upper", "clique", "upper", {"s": s, "k": k},
+            k ** (s - 1) / math.log(k) ** (s - 2),
+        )
+    if H is not None:
+        rho = rho_star(H)
+        expo = rho / (1 + rho)
+        add(
+            "thm3_lower", "thm3", "lower",
+            {"m": m, "rho_star": float(rho), "exponent": float(expo)},
+            (m / logm) ** float(expo),
+        )
+    if pq is not None:
+        p, q = pq
+        if p < 1 or q < p:
+            raise InputError("complete bipartite parameters need 1 <= p <= q")
+        add(
+            "kpq_lower", "kpq", "lower", {"p": p, "q": q, "m": m},
+            m ** (p / (1 + p)),
+            "limit exponent as q grows (epsilon suppressed); " + ASYMPTOTIC_CAVEAT,
         )
         add(
-            "efrs_upper", "efrs", "upper", {"s": s, "m": m},
-            m ** ((s - 1) / s),
-        )
-        add(
-            "thm1_lower", "thm1", "lower", {"s": s, "m": m},
-            (m / logm) ** ((s + 1) / (s + 3)),
-        )
-        add(
-            "thm1_upper", "thm1", "upper", {"s": s, "m": m},
-            m ** ((s - 1) / s) / logm ** ((s - 2) / s),
-        )
-        if s == 3:
-            add(
-                "sidorenko_upper", "sidorenko", "upper", {"m": m},
-                float(2 * m + 1),
-                "exact finite bound for isolated-vertex-free G; no suppressed constant",
-            )
-            add(
-                "tree_equality", "sidorenko", "equality", {"m": m},
-                float(2 * m + 1),
-                "exact value when G is a tree with m edges; no suppressed constant",
-            )
-        add(
-            "thm2_upper", "thm2", "upper", {"s": s, "m": m},
-            m ** ((s - 1) / 2) / logm ** ((s - 3) / 2),
+            "kpq_union_upper", "kpq", "upper", {"p": p, "q": q, "m": m},
+            m ** (p / (1 + p)),
+            "achieved by a disjoint union of cliques of order m^(1/(p+1)); "
+            + ASYMPTOTIC_CAVEAT,
         )
         if k is not None:
-            if k < 2:
-                raise InputError("clique order k must be at least 2")
             add(
-                "clique_vs_clique_upper", "clique", "upper", {"s": s, "k": k},
-                k ** (s - 1) / math.log(k) ** (s - 2),
+                "kpq_vs_clique_upper", "kpq", "upper", {"p": p, "q": q, "k": k},
+                float(k) ** p,
             )
-        if H is not None:
-            rho = rho_star(H)
-            expo = rho / (1 + rho)
-            add(
-                "thm3_lower", "thm3", "lower",
-                {"m": m, "rho_star": float(rho), "exponent": float(expo)},
-                (m / logm) ** float(expo),
-            )
-        if pq is not None:
-            p, q = pq
-            if p < 1 or q < p:
-                raise InputError("complete bipartite parameters need 1 <= p <= q")
-            add(
-                "kpq_lower", "kpq", "lower", {"p": p, "q": q, "m": m},
-                m ** (p / (1 + p)),
-                "limit exponent as q grows (epsilon suppressed); " + ASYMPTOTIC_CAVEAT,
-            )
-            add(
-                "kpq_union_upper", "kpq", "upper", {"p": p, "q": q, "m": m},
-                m ** (p / (1 + p)),
-                "achieved by a disjoint union of cliques of order m^(1/(p+1)); "
-                + ASYMPTOTIC_CAVEAT,
-            )
-            if k is not None:
-                add(
-                    "kpq_vs_clique_upper", "kpq", "upper", {"p": p, "q": q, "k": k},
-                    float(k) ** p,
-                )
-        if t is not None:
-            if t < 1:
-                raise InputError("size t must be at least 1")
-            add(
-                "sqrt_t_upper", "sqrt_t", "upper",
-                {"t": t, "m": m, "ell": ell},
-                m ** math.sqrt(t),
-                "exponent constant depends on the chromatic number ell "
-                f"(given: {ell}) and is set to 1 here; " + ASYMPTOTIC_CAVEAT,
-            )
-    except OverflowError:
-        raise InputError("an input is too large to evaluate in floating point") from None
+    if t is not None:
+        if t < 1:
+            raise InputError("size t must be at least 1")
+        add(
+            "sqrt_t_upper", "sqrt_t", "upper",
+            {"t": t, "m": m, "ell": ell},
+            m ** math.sqrt(t),
+            "exponent constant depends on the chromatic number ell "
+            f"(given: {ell}) and is set to 1 here; " + ASYMPTOTIC_CAVEAT,
+        )
     return reports

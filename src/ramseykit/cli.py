@@ -4,12 +4,13 @@ Every subcommand prints a machine-readable JSON record (schemas live in
 docs/schemas/); human text is a rendering of the same record.  Exit codes are
 uniform: 0 for success / an affirmative result, 1 for a legitimate negative
 outcome (no witness trial succeeded, embedding failed, value above cap), 2
-for input errors, 3 for internal errors (a broken contract, an exhausted
-search budget, any other uncaught exception), reported as one stderr line
-"internal error: <type>: <message>" with nothing on stdout.  All output is
-deterministic given the full flag set; one --seed flag governs all
-randomness.  `construct --threads` is accepted and ignored, so it never
-changes bytes.
+for input errors, argparse usage errors and numbers too large for floating
+point included, printed as one stderr line "error: <message>", 3 for internal
+errors (a broken contract, an exhausted search budget, any other uncaught
+exception), printed as one stderr line "internal error: <type>: <message>".
+Exits 2 and 3 leave stdout empty.  All output is deterministic given the
+full flag set; one --seed flag governs all randomness.  `construct
+--threads` is accepted and ignored, so it never changes bytes.
 """
 from __future__ import annotations
 
@@ -182,8 +183,13 @@ def cmd_stats_erdos_tetali(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ramseykit",
         description="Ramsey-number toolkit: witness construction, embedding, "
                     "exact search, packing, and bound evaluation.",
@@ -265,12 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        # The kernels work only on Python ints, and every float in the package
+        # is a closed form of argv or file magnitudes, so an overflow always
+        # means an input too large to evaluate, never a broken contract.
+        print("error: an input is too large to evaluate in floating point", file=sys.stderr)
         return 2
     except Exception as exc:
         message = " ".join(str(exc).split())

@@ -187,8 +187,6 @@ def construct_witness(params: ConstructParams, G: Graph,
     # Trial colorings are written to files that parse_coloring must read back.
     if n > MAX_PARSE_ORDER:
         raise CapacityError(f"order {n} above the cap of {MAX_PARSE_ORDER}")
-    if not 0.0 <= p <= 1.0:
-        raise InputError("resolved p lies outside [0, 1]")
     return [run_trial(params, G, n, p, i) for i in range(params.trials)]
 
 

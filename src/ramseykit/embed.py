@@ -33,17 +33,16 @@ def _revalidated(col: TwoColoring, G: Graph, assignment: dict[int, int]) -> Embe
     return emb
 
 
-def _greedy_place(red: list[int], host_mask: int, tmax: int, G: Graph,
+def _greedy_place(red: list[int], host_mask: int, tmax: int, gadj: list[int],
                   order: list[int], assignment: dict[int, int], used: int,
                   failure: type[Exception]) -> int:
     """Place `order` one by one on host vertices with no red edge to any
-    already-placed neighbor; smallest feasible id wins.
+    already-placed neighbor in the rows `gadj` of G; smallest feasible id wins.
 
     Asserts the availability bound from the degree argument: the number of
     host vertices free of red edges into the placed neighbor set Y is at
     least |host| - tmax * |Y|.
     """
-    gadj = G.adjacency_bits()
     host_size = host_mask.bit_count()
     for v in order:
         ys = [assignment[u] for u in iter_bits(gadj[v]) if u in assignment]
@@ -62,11 +61,10 @@ def _greedy_place(red: list[int], host_mask: int, tmax: int, G: Graph,
     return used
 
 
-def _place_high_degree(X: list[int], vertices: list[int], G: Graph,
+def _place_high_degree(X: list[int], vertices: list[int], deg: list[int],
                        assignment: dict[int, int], used: int) -> tuple[list[int], int]:
     """Park the highest-degree vertices on X (degree-sorted to id-sorted),
     returning the leftover vertices in ascending id order."""
-    deg = G.degrees()
     by_degree = sorted(vertices, key=lambda v: (-deg[v], v))
     parked = by_degree[: len(X)]
     for g, w in zip(parked, sorted(X)):
@@ -90,11 +88,12 @@ def embed_s3(col: TwoColoring, G: Graph) -> EmbeddingMap:
         raise InputError(f"host needs at least {3 * m} vertices, has {col.n}")
 
     red = col.red_adjacency_bits()
+    gadj = G.adjacency_bits()
+    deg = [row.bit_count() for row in gadj]
     assignment: dict[int, int] = {}
     next_free = 0
     for comp in G.components():
-        comp_set = set(comp)
-        m_i = sum(1 for u, v in G.edges if u in comp_set and v in comp_set)
+        m_i = sum(deg[v] for v in comp) // 2
         block = list(range(next_free, next_free + 3 * m_i))
         next_free += 3 * m_i
         block_mask = bits_of(block)
@@ -109,9 +108,8 @@ def embed_s3(col: TwoColoring, G: Graph) -> EmbeddingMap:
                 if (red[X[i]] >> X[j]) & 1:
                     raise ContractViolation("red pair inside the red neighborhood X")
 
-        used = 0
-        rest, used = _place_high_degree(X, comp, G, assignment, used)
-        _greedy_place(red, block_mask, t, G, rest, assignment, used, ContractViolation)
+        rest, used = _place_high_degree(X, comp, deg, assignment, 0)
+        _greedy_place(red, block_mask, t, gadj, rest, assignment, used, ContractViolation)
 
     return _revalidated(col, G, assignment)
 
@@ -169,8 +167,9 @@ def embed_general(col: TwoColoring, G: Graph, s: int,
 
     red = col.red_adjacency_bits()
     assignment: dict[int, int] = {}
-    rest, used = _place_high_degree(list(X), list(range(G.n)), G, assignment, 0)
-    _greedy_place(red, (1 << col.n) - 1, dmax, G, rest, assignment, used, EmbedFailure)
+    rest, used = _place_high_degree(list(X), list(range(G.n)), G.degrees(), assignment, 0)
+    _greedy_place(red, (1 << col.n) - 1, dmax, G.adjacency_bits(), rest, assignment, used,
+                  EmbedFailure)
     return _revalidated(col, G, assignment)
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FAULTY_TRIANGLES, ONE_TRIANGLE_PACKING, greedy_with_extra_members
 from ramseykit import cli, construct, exact
@@ -24,6 +27,7 @@ from ramseykit.graphs import (
 )
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+BIG = "1" + "0" * 400
 
 
 def load_schema(name: str) -> dict:
@@ -437,3 +441,110 @@ class TestParseCaps:
         code, out, err = run(capsys, ["pack", "--coloring", str(big), "--s", "3"])
         assert (code, out) == (2, "")
         assert "above the cap of 10000" in err
+
+
+def assert_one_error_line(code: int, out: str, err: str) -> None:
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """K3, P4 and P6 graph files, an empty file, and a red C8 coloring."""
+    root = tmp_path_factory.mktemp("inputs")
+    texts = {
+        "k3": serialize_graph(complete_graph(3)),
+        "p4": serialize_graph(path_graph(4)),
+        "p6": serialize_graph(path_graph(6)),
+        "empty": "",
+        "c8": serialize_coloring(coloring_from_red(8, cycle_graph(8).edges)),
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    return {name: str(root / name) for name in texts}
+
+
+ERDOS_TETALI = ["stats", "erdos-tetali", "--n", "12", "--p", "1", "--trials", "1", "--seed", "0"]
+
+
+class TestOneErrorLine:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["gen-union", "--m", BIG, "--s", "3"], id="gen-union-m"),
+        pytest.param(["gen-union", "--m", "100", "--s", BIG], id="gen-union-s"),
+        pytest.param(["construct", "--s", "3", "--G", "p6", "--trials", "1", "--seed", "0",
+                      "--n", BIG], id="construct-n"),
+        pytest.param(["construct", "--s", BIG, "--G", "p6", "--trials", "1", "--seed", "0"],
+                     id="construct-s"),
+        # m^((s-2)/2) with m = 5: about 10^348 at s = 1000.
+        pytest.param(["embed", "--coloring", "c8", "--G", "p6", "--s", "1000"], id="embed-s-1000"),
+        pytest.param(["embed", "--coloring", "c8", "--G", "p6", "--s", BIG], id="embed-s"),
+        pytest.param([*ERDOS_TETALI, "--s", "3", "--k", BIG], id="erdos-tetali-k"),
+        pytest.param([*ERDOS_TETALI, "--s", BIG, "--k", "3"], id="erdos-tetali-s"),
+        # (e * 924 / 500)^500 overflows although every input is small.
+        pytest.param([*ERDOS_TETALI, "--s", "6", "--k", "500"], id="erdos-tetali-s6-k500"),
+        pytest.param(["bounds", "--s", "x", "--m", "10"], id="argparse-invalid-int"),
+        pytest.param(["bounds", "--m", "10"], id="argparse-missing-flag"),
+        pytest.param(["nosuch"], id="argparse-unknown-subcommand"),
+        pytest.param(["construct", "--s", "3", "--G", "p6", "--trials", "0.5", "--seed", "0"],
+                     id="argparse-fractional-int"),
+    ])
+    def test_bad_input_returns_2(self, capsys, input_files, argv):
+        argv = [input_files.get(a, a) for a in argv]
+        assert_one_error_line(*run(capsys, argv))
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ramseykit")
+
+
+VALUES = ["0", "-1", "1", "3", BIG, "nan", "inf", "1e308", "0.5"]
+# Flags that set how much work a run does never take the 401-digit value.
+WORK_VALUES = [v for v in VALUES if v != BIG]
+FILES = ["k3", "p4", "empty", "c8"]
+
+
+def _flag(name, values=VALUES, optional=False, nargs=1):
+    given_flag = st.lists(st.sampled_from(values), min_size=nargs, max_size=nargs).map(
+        lambda vs: [name, *vs])
+    return st.one_of(st.just([]), given_flag) if optional else given_flag
+
+
+def _switch(name):
+    return st.sampled_from([[], [name]])
+
+
+FORMS = {
+    "bounds": [_flag("--s"), _flag("--m"), _flag("--t", optional=True),
+               _flag("--k", optional=True), _flag("--pq", optional=True, nargs=2),
+               _flag("--ell", optional=True), _flag("--graph", FILES, optional=True),
+               _switch("--json")],
+    "construct": [_flag("--s"), _flag("--G", FILES), _flag("--n", WORK_VALUES, optional=True),
+                  _flag("--p", optional=True), _flag("--trials", WORK_VALUES), _flag("--seed"),
+                  _flag("--threads", optional=True),
+                  _flag("--node-budget", WORK_VALUES, optional=True)],
+    "embed": [_flag("--coloring", FILES), _flag("--G", FILES), _flag("--s"),
+              _flag("--node-budget", WORK_VALUES, optional=True)],
+    "pack": [_flag("--coloring", FILES), _flag("--s"), _switch("--exact")],
+    "exact": [_flag("--H", FILES), _flag("--G", FILES), _flag("--cap", WORK_VALUES, optional=True)],
+    "gen-union": [_flag("--m"), _flag("--s")],
+    "stats chernoff": [_flag("--m"), _flag("--p"), _flag("--a"),
+                       _flag("--trials", WORK_VALUES), _flag("--seed")],
+    "stats erdos-tetali": [_flag("--n", WORK_VALUES), _flag("--p"), _flag("--s"), _flag("--k"),
+                           _flag("--trials", WORK_VALUES), _flag("--seed")],
+}
+
+
+@pytest.mark.parametrize("form", FORMS)
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_exits_0_1_or_2_with_one_error_line(input_files, form, data):
+    flags = data.draw(st.tuples(*FORMS[form]))
+    argv = [*form.split(), *(input_files.get(a, a) for a in itertools.chain(*flags))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert_one_error_line(code, out.getvalue(), err.getvalue())

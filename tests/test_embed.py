@@ -8,6 +8,7 @@ from ramseykit.detect import find_copy
 from ramseykit.embed import embed_general, embed_s3, iterated_blue_cliques
 from ramseykit.errors import EmbedFailure, InputError
 from ramseykit.graphs import (
+    Graph,
     TwoColoring,
     coloring_from_red,
     complete_graph,
@@ -39,6 +40,26 @@ class TestEmbedS3:
         emb = embed_s3(col, g)
         assert emb.validates(col, "blue")
         assert len(set(emb.assignment.values())) == 4
+
+    def test_target_rows_built_once_per_call(self, monkeypatch):
+        # The rows of G are built a fixed number of times per call, not once
+        # per component: 50 disjoint edges cost as many builds as one edge.
+        calls = []
+        adjacency_bits = Graph.adjacency_bits
+
+        def counting(self):
+            calls.append(self)
+            return adjacency_bits(self)
+
+        monkeypatch.setattr(Graph, "adjacency_bits", counting)
+        counts = []
+        for c in (1, 50):
+            calls.clear()
+            g = graph_from_edges(2 * c, [(2 * i, 2 * i + 1) for i in range(c)])
+            col = TwoColoring(3 * c)
+            assert embed_s3(col, g).validates(col, "blue")
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_rejects_red_triangle(self):
         col = coloring_from_red(6, [(0, 1), (0, 2), (1, 2)])
