@@ -4,10 +4,11 @@ Every subcommand prints a machine-readable JSON record (schemas live in
 docs/schemas/); human text is a rendering of the same record.  Exit codes are
 uniform: 0 for success / an affirmative result, 1 for a legitimate negative
 outcome (no witness trial succeeded, embedding failed, value above cap), 2
-for input errors, argparse usage errors and numbers too large for floating
-point included, printed as one stderr line "error: <message>", 3 for internal
-errors (a broken contract, an exhausted search budget, any other uncaught
-exception), printed as one stderr line "internal error: <type>: <message>".
+for input errors, argparse usage errors, unwritable --out paths and numbers
+too large for floating point included, printed as one stderr line
+"error: <message>", 3 for internal errors (a broken contract, an exhausted
+search budget, any other uncaught exception), printed as one stderr line
+"internal error: <type>: <message>".
 Exits 2 and 3 leave stdout empty.  All output is deterministic given the
 full flag set; one --seed flag governs all randomness.  `construct
 --threads` is accepted and ignored, so it never changes bytes.
@@ -15,7 +16,9 @@ full flag set; one --seed flag governs all randomness.  `construct
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -49,6 +52,15 @@ def _load(path: str, parse):
     return parse(text)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError while writing `path` is bad input, as in `_load`."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(record: dict) -> None:
     print(json.dumps(record, indent=2))
 
@@ -78,18 +90,20 @@ def cmd_construct(args) -> int:
         seed=args.seed,
         node_budget=args.node_budget,
     )
-    reports = construct_witness(params, G, threads=args.threads)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with _writing(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
+    reports = construct_witness(params, G, threads=args.threads)
     trial_records = []
     for r in reports:
         # Every report field but the coloring, in field order.
         record = {key: value for key, value in vars(r).items() if key != "coloring"}
         if out_dir is not None:
-            name = f"trial_{r.trial_index:04d}.coloring"
-            (out_dir / name).write_text(serialize_coloring(r.coloring), encoding="utf-8")
-            record["coloring_file"] = name
+            path = out_dir / f"trial_{r.trial_index:04d}.coloring"
+            with _writing(path):
+                path.write_text(serialize_coloring(r.coloring), encoding="utf-8")
+            record["coloring_file"] = path.name
         trial_records.append(record)
     n = reports[0].coloring.n if reports else 0
     summary = {
@@ -103,7 +117,9 @@ def cmd_construct(args) -> int:
     }
     text = json.dumps(summary, indent=2)
     if out_dir is not None:
-        (out_dir / "summary.json").write_text(text + "\n", encoding="utf-8")
+        path = out_dir / "summary.json"
+        with _writing(path):
+            path.write_text(text + "\n", encoding="utf-8")
     print(text)
     return 0 if summary["any_blue_absent"] else 1
 
@@ -150,7 +166,8 @@ def cmd_gen_union(args) -> int:
     g = union_of_cliques(args.m, args.s)
     text = serialize_graph(g)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text(text, encoding="utf-8")
     _emit({
         "m": args.m,
         "s": args.s,
@@ -188,7 +205,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and then shared: `parse_args`
+    returns a fresh namespace each call and `_Parser.error` only raises, so
+    no call leaves state in it."""
     parser = _Parser(
         prog="ramseykit",
         description="Ramsey-number toolkit: witness construction, embedding, "

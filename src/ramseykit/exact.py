@@ -30,6 +30,10 @@ per orbit suffices: if a copy maps arc (a, b) onto (u, v) and the
 automorphism s takes the representative to (a, b), the copy composed with s
 maps the representative onto (u, v).
 
+ramsey_number does not search the orders below the Chvátal–Harary bound
+(Chvátal and Harary, Pacific J. Math. 41, 1972): a fixed coloring settles
+them (`_lower_bound`), and the DFS starts at that bound.
+
 The lex check is fitted to the row-major edge order (0,1), (0,2), ..., (1,2),
 ....  When (u, v) is fixed, rows 0..u-1 are complete and row u is fixed up to
 column v.  Take x either endpoint of the new edge and o the other: every y
@@ -59,6 +63,52 @@ def is_witness(col: TwoColoring, H: Graph, G: Graph) -> bool:
     )
 
 
+def _is_complete(g: Graph) -> bool:
+    return g.n >= 2 and g.edge_count == g.n * (g.n - 1) // 2
+
+
+def _chromatic_floor(g: Graph) -> int:
+    """A lower bound on the chromatic number of a graph with an edge: g.n if
+    it is complete, 2 if a 2-colouring pass succeeds, 3 otherwise."""
+    if _is_complete(g):
+        return g.n
+    adj, side = g.adjacency_bits(), [-1] * g.n
+    for root in range(g.n):
+        if side[root] >= 0:
+            continue
+        side[root], stack = 0, [root]
+        while stack:
+            v = stack.pop()
+            for w in iter_bits(adj[v]):
+                if side[w] < 0:
+                    side[w] = side[v] ^ 1
+                    stack.append(w)
+                elif side[w] == side[v]:
+                    return 3
+    return 2
+
+
+def _lower_bound(H: Graph, G: Graph) -> int:
+    """max(CH(H, G), CH(G, H)), where CH(H, G) = (chi'(H) - 1)(c(G) - 1) + 1,
+    chi' is `_chromatic_floor` and c(G) the order of G's largest component;
+    CH is 1 when either pattern has no edge.
+
+    Every order below the bound has a witness.  On K_{CH(H, G) - 1}, take
+    chi'(H) - 1 blue cliques of order c(G) - 1 with every edge between them
+    red.  The red graph is (chi'(H) - 1)-partite, so it has no red H, whose
+    chromatic number is at least chi'(H).  Every blue component has fewer
+    than c(G) vertices, so there is no blue G.  Swapping the colours gives
+    CH(G, H), and a witness on K_n restricts to one on every smaller K_n.
+    """
+    if H.edge_count == 0 or G.edge_count == 0:
+        return 1
+
+    def ch(h: Graph, g: Graph) -> int:
+        return (_chromatic_floor(h) - 1) * (max(map(len, g.components())) - 1) + 1
+
+    return max(ch(H, G), ch(G, H))
+
+
 class _Pattern:
     """Static pattern data for pinned-edge containment checks in K_n."""
 
@@ -66,8 +116,7 @@ class _Pattern:
 
     def __init__(self, g: Graph, n: int):
         self.n = g.n
-        is_complete = g.n >= 2 and g.edge_count == g.n * (g.n - 1) // 2
-        self.clique_order = g.n if is_complete else 0
+        self.clique_order = g.n if _is_complete(g) else 0
         # One placement order per arc orbit, its representative the first arc
         # (a, b) in sorted order: a, b, then the other vertices by decreasing
         # degree; stored as `_place` wants it, the earlier neighbors of each
@@ -181,11 +230,15 @@ def ramsey_number(H: Graph, G: Graph, n_cap: int) -> int | None:
     through n_cap (the value is then greater than n_cap).
 
     A witness on K_{n+1} restricts to one on K_n, so the first witness-free
-    order is the Ramsey number.
+    order is the Ramsey number.  Every order below the Chvátal–Harary bound
+    L (`_lower_bound`) has a witness, so the DFS starts at L, and none is
+    built or checked below it.  The start is at most 12, the first order
+    above EDGE_CAP, so that an answer beyond the cap raises the same
+    CapacityError as a walk from 1 would.
     """
     if n_cap < 1:
         raise InputError("n_cap must be at least 1")
-    for n in range(1, n_cap + 1):
+    for n in range(min(_lower_bound(H, G), 12), n_cap + 1):
         if find_witness(n, H, G) is None:
             return n
     return None

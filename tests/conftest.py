@@ -10,6 +10,7 @@ import random
 
 from ramseykit.construct import random_coloring, trial_seed
 from ramseykit.detect import _greedy_packing, max_edge_disjoint_packing
+from ramseykit.exact import find_witness
 from ramseykit.graphs import Graph, TwoColoring, graph_from_edges, coloring_from_red
 
 
@@ -215,6 +216,15 @@ def reference_find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
         return None
 
     return dfs(0)
+
+
+def reference_ramsey_number(H: Graph, G: Graph, n_cap: int) -> int | None:
+    """The first order from 1 up to n_cap at which `find_witness` finds no
+    witness, or None: the level walk with no lower bound."""
+    for n in range(1, n_cap + 1):
+        if find_witness(n, H, G) is None:
+            return n
+    return None
 
 
 def all_arcs_pinned_copy(adj: list[int], n: int, G: Graph, u: int, v: int) -> bool:

@@ -131,6 +131,18 @@ class TestConstruct:
         assert code == 2
         assert "line 2" in err
 
+    def test_out_is_an_existing_file_exits_2_before_any_trial(self, capsys, monkeypatch, k3_file):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a bad --out path must be rejected before the trials")
+
+        monkeypatch.setattr(cli, "construct_witness", unreachable)
+        code, out, err = run(capsys, [
+            "construct", "--s", "3", "--G", k3_file, "--n", "5", "--p", "0.5",
+            "--trials", "1", "--seed", "0", "--out", k3_file,
+        ])
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"error: cannot write {k3_file}: ")
+
 
 class TestEmbed:
     def test_embed_success(self, capsys, tmp_path):
@@ -260,6 +272,13 @@ class TestGenUnion:
         assert code == 2
         assert out == ""
         assert "cap of 10000" in err
+
+    def test_out_in_a_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "dir" / "g.txt"
+        code, out, err = run(capsys, ["gen-union", "--m", "10", "--s", "3", "--out", str(target)])
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
 
 
 class TestStats:
@@ -548,3 +567,35 @@ def test_argv_fuzz_exits_0_1_or_2_with_one_error_line(input_files, form, data):
     assert code in (0, 1, 2), err.getvalue()
     if code == 2:
         assert_one_error_line(code, out.getvalue(), err.getvalue())
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch, input_files):
+    # Help text wraps at the terminal width; pin it for both processes.
+    monkeypatch.setenv("COLUMNS", "80")
+    construct = ["construct", "--s", "3", "--G", input_files["p6"], "--n", "10", "--p", "0.3",
+                 "--trials", "2", "--seed", "1"]
+    sequence = [
+        ["bounds", "--s", "x", "--m", "10"],
+        ["--help"],
+        [*construct, "--node-budget", "5"],
+        construct,
+        ["pack", "--coloring", input_files["c8"], "--s", "3", "--exact"],
+        ["pack", "--coloring", input_files["c8"], "--s", "3"],
+        ["exact", "--H", input_files["k3"], "--G", input_files["k3"]],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    outs = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "ramseykit", *argv], env=env,
+                               capture_output=True, check=False)
+        assert (code, out.encode()) == (fresh.returncode, fresh.stdout), argv
+        outs.append(out)
+    # The node budget of the first construct run leaves the second unbudgeted.
+    assert '"unknown"' in outs[2] and '"unknown"' not in outs[3]
+    assert cli.build_parser() is cli.build_parser()

@@ -7,7 +7,9 @@ from conftest import (
     GRAPHS_UP_TO_3_EDGES,
     all_colorings,
     full_scan_breaks_lex,
+    naive_find_copy,
     reference_find_witness,
+    reference_ramsey_number,
     row_major_reference_search,
 )
 from ramseykit import exact
@@ -39,6 +41,18 @@ SB_PATTERNS = {
     "K4": complete_graph(4),
     "2K2": graph_from_edges(4, [(0, 1), (2, 3)]),
 }
+START_PATTERNS = {
+    **GRAPHS_UP_TO_3_EDGES,
+    "K4": complete_graph(4),
+    "C4": C4,
+    "C5": cycle_graph(5),
+    "P5": path_graph(5),
+}
+# The table of TestRamseyNumber.test_published_values.
+PUBLISHED = [
+    (K3, C4, 7), (K3, cycle_graph(5), 9), (K3, cycle_graph(6), 11),
+    (K3, complete_graph(4), 9), (C4, C4, 6), (C4, complete_graph(4), 10),
+]
 
 
 def red_rows_lex_ordered(col: TwoColoring) -> bool:
@@ -258,3 +272,89 @@ class TestRamseyNumber:
             m = g.edge_count
             r = ramsey_number(K3, g, 2 * m + 1)
             assert r is not None and r <= 2 * m + 1
+
+
+def chromatic_floor(g):
+    """g.n for a complete g, 2 when some split of the vertices into two sides
+    leaves no edge inside a side, 3 otherwise."""
+    if g.edge_count == g.n * (g.n - 1) // 2:
+        return g.n
+    sides = range(1 << g.n)
+    if any(all(side >> a & 1 != side >> b & 1 for a, b in g.edges) for side in sides):
+        return 2
+    return 3
+
+
+def largest_component(g):
+    """The most vertices reachable from one vertex: g.n rounds of adding both
+    ends of every edge that touches the reached set."""
+    best = 0
+    for v in range(g.n):
+        reach = {v}
+        for _ in range(g.n):
+            reach |= {x for edge in g.edges if reach.intersection(edge) for x in edge}
+        best = max(best, len(reach))
+    return best
+
+
+def chvatal_harary_coloring(H, G):
+    """The larger of the two Chvátal–Harary colourings: chromatic_floor(H) - 1
+    blue cliques of order largest_component(G) - 1 with red between them, or
+    the same with the roles of H and G and of the two colours swapped."""
+    colorings = []
+    for h, g, red_between in ((H, G, True), (G, H, False)):
+        parts, size = chromatic_floor(h) - 1, largest_component(g) - 1
+        red = [(u, v) for u, v in itertools.combinations(range(parts * size), 2)
+               if (u // size != v // size) == red_between]
+        colorings.append(coloring_from_red(parts * size, red))
+    return max(colorings, key=lambda col: col.n)
+
+
+class TestChvatalHararyStart:
+    """ramsey_number starts its level walk at the Chvátal–Harary bound L
+    instead of at 1; each order below L has a witness, so the answer is the
+    same."""
+
+    @pytest.mark.parametrize("h", list(START_PATTERNS))
+    def test_same_answer_as_walk_from_1(self, h):
+        H = START_PATTERNS[h]
+        for g, G in START_PATTERNS.items():
+            assert ramsey_number(H, G, 8) == reference_ramsey_number(H, G, 8), (h, g)
+
+    def test_published_values_same_as_walk_from_1(self):
+        for H, G, r in PUBLISHED:
+            for A, B in ((H, G), (G, H)):
+                assert ramsey_number(A, B, r) == reference_ramsey_number(A, B, r) == r
+
+    @pytest.mark.parametrize("H, G, visited", [
+        (K3, cycle_graph(5), [9]), (K3, K3, [5, 6]), (C4, complete_graph(4), [10]),
+    ])
+    def test_orders_searched(self, monkeypatch, H, G, visited):
+        seen = []
+        search = exact.find_witness
+
+        def recorded(n, *patterns):
+            seen.append(n)
+            return search(n, *patterns)
+
+        monkeypatch.setattr(exact, "find_witness", recorded)
+        assert ramsey_number(H, G, 10) == visited[-1]
+        assert seen == visited
+
+    def test_answer_above_edge_cap_raises_at_k12(self):
+        # r(K2, P13) = 13 = L: the walk from 1 stops at K_12, and so must the start.
+        for walk in (ramsey_number, reference_ramsey_number):
+            with pytest.raises(CapacityError, match="^K_12 has 66 edges"):
+                walk(complete_graph(2), path_graph(13), 15)
+
+    @pytest.mark.parametrize("h", list(START_PATTERNS))
+    def test_construction_is_a_witness(self, h):
+        # The check that ramsey_number leaves out at run time: the colouring
+        # on K_{L-1} has no red H and no blue G, by exhaustive search.
+        H = START_PATTERNS[h]
+        for g, G in START_PATTERNS.items():
+            col = chvatal_harary_coloring(H, G)
+            assert col.n == exact._lower_bound(H, G) - 1, (h, g)
+            if col.n <= 9:
+                assert naive_find_copy(col, "red", H) is None, (h, g)
+                assert naive_find_copy(col, "blue", G) is None, (h, g)
