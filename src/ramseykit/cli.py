@@ -9,7 +9,10 @@ too large for floating point included, printed as one stderr line
 "error: <message>", 3 for internal errors (a broken contract, an exhausted
 search budget, any other uncaught exception), printed as one stderr line
 "internal error: <type>: <message>".
-Exits 2 and 3 leave stdout empty.  All output is deterministic given the
+Exits 2 and 3 leave stdout empty.  A stdout closed by its reader, as in
+`ramseykit gen-union ... | head`, ends the command quietly with 141
+(128 + SIGPIPE, the status of a writer that a closed pipe stopped) and
+nothing on stderr.  All output is deterministic given the
 full flag set; one --seed flag governs all randomness.  `construct
 --threads` is accepted and ignored, so it never changes bytes.
 """
@@ -20,6 +23,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -291,10 +295,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point fd 1 at the null device, so that the flush of stdout at
+    interpreter exit has somewhere to go.  A stdout with no file descriptor,
+    such as an in-process StringIO, is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # A closed pipe shows on the flush of the last block at the latest.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout stopped early: end quietly, with the status of
+        # a writer that SIGPIPE stopped.
+        _stdout_to_devnull()
+        return 141
     except (InputError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -135,29 +135,45 @@ def _cliques(adj: list[int], cand: int, s: int,
 
 
 def _place(adj: list[int], cand_mask: list[int], placed_nbrs: Sequence[Sequence[int]],
-           counter: _NodeCounter | None = None) -> list[int] | None:
+           counter: _NodeCounter | None = None,
+           image: list[int] | None = None) -> list[int] | None:
     """First injective image of a pattern on the host graph `adj`, or None.
 
     Position i of the pattern goes to a host vertex in `cand_mask[i]` adjacent
     to the images of the earlier positions `placed_nbrs[i]`.  Host vertices are
     tried in ascending order, so the image is the lexicographically least one.
-    The empty pattern has the empty image and visits no prefix.
+    The empty pattern has the empty image and visits no prefix, and so does a
+    given prefix that already places every position.
+
+    `image`, if given, is a prefix already placed: the search starts at
+    position len(image), its vertices used.  The caller guarantees that it is
+    a valid partial image (distinct host vertices, each in its position's mask
+    and adjacent to the images of its earlier neighbors); nothing checks it.
+    The list is extended in place into the image that is returned, and is
+    back to the prefix when None is returned.
     """
     k = len(cand_mask)
-    if k == 0:
-        return []
+    if image is None:
+        image = []
+    start = len(image)
+    if start == k:
+        return image
     if counter is not None:
         counter.tick()
-    image: list[int] = []
     used = 0
-    # rests[i]: host candidates for position i not yet tried.
-    rests = [cand_mask[0]]
+    for x in image:
+        used |= 1 << x
+    cand = cand_mask[start] & ~used
+    for j in placed_nbrs[start]:
+        cand &= adj[image[j]]
+    # rests[d]: host candidates for position start + d not yet tried.
+    rests = [cand]
     while True:
         rest = rests[-1]
         if not rest:
-            if not image:
-                return None
             rests.pop()
+            if not rests:
+                return None
             used ^= 1 << image.pop()
             continue
         low = rest & -rest

@@ -24,11 +24,14 @@ absence is exhaustive.
 Containment checks are incremental: after fixing an edge only copies using
 that edge are searched for, with the two kernels shared with detect.  A
 complete pattern K_t is a (t-2)-clique in the common neighborhood of the
-edge (`_cliques`); any other pattern is placed with one arc (ordered edge) per
-orbit of its automorphism group pinned on the new edge (`_place`).  One arc
-per orbit suffices: if a copy maps arc (a, b) onto (u, v) and the
-automorphism s takes the representative to (a, b), the copy composed with s
-maps the representative onto (u, v).
+edge (`_cliques`), and for K_3 one AND of two rows.  Any other pattern is
+placed with one arc (ordered edge) per orbit of its automorphism group
+pinned on the new edge: `_place` starts from the placed prefix [u, v], which
+is a valid partial image because (u, v) is the edge just added, and searches
+only the other pattern vertices.  One arc per orbit suffices: if a copy maps
+arc (a, b) onto (u, v) and the automorphism s takes the representative to
+(a, b), the copy composed with s maps the representative onto (u, v).  The
+orbits do not depend on n, so ramsey_number computes them once per call.
 
 ramsey_number does not search the orders below the Chvátal–Harary bound
 (Chvátal and Harary, Pacific J. Math. 41, 1972): a fixed coloring settles
@@ -47,12 +50,16 @@ blue one is checked against the red neighbours y of o only.
 """
 from __future__ import annotations
 
+import copy
+
 from .bitset import iter_bits
 from .detect import _cliques, _place, find_copy
 from .errors import CapacityError, InputError
 from .graphs import Graph, TwoColoring
 
 EDGE_CAP = 55
+# The largest order whose K_n has at most EDGE_CAP edges.
+MAX_ORDER = 11
 
 
 def is_witness(col: TwoColoring, H: Graph, G: Graph) -> bool:
@@ -112,25 +119,28 @@ def _lower_bound(H: Graph, G: Graph) -> int:
 class _Pattern:
     """Static pattern data for pinned-edge containment checks in K_n."""
 
-    __slots__ = ("n", "clique_order", "pinned_nbrs")
+    __slots__ = ("n", "edge_count", "clique_order", "pinned_nbrs", "masks")
 
     def __init__(self, g: Graph, n: int):
-        self.n = g.n
+        self.n, self.edge_count = g.n, g.edge_count
         self.clique_order = g.n if _is_complete(g) else 0
+        # Every position may go to any vertex of K_n.
+        self.masks = [(1 << n) - 1] * g.n
         # One placement order per arc orbit, its representative the first arc
         # (a, b) in sorted order: a, b, then the other vertices by decreasing
         # degree; stored as `_place` wants it, the earlier neighbors of each
         # position.  Arc (x, y) is in the orbit of a representative that places
         # on the pattern itself with a -> x and b -> y, since an injective
         # edge-preserving self-map of a finite graph is an automorphism.  A
-        # pattern larger than K_n has no copy and is given no arcs.
+        # complete pattern is checked by `_cliques` and a pattern larger than
+        # K_n has no copy; neither is given arcs.
         self.pinned_nbrs: list[list[list[int]]] = []
-        if g.n > n:
+        if g.n > n or self.clique_order:
             return
         deg, bits = g.degrees(), g.adjacency_bits()
-        free = [(1 << g.n) - 1] * (g.n - 2)
+        own = [(1 << g.n) - 1] * g.n
         for a, b in sorted([*g.edges, *((b, a) for a, b in g.edges)]):
-            if any(_place(bits, [1 << a, 1 << b, *free], nbrs) is not None
+            if any(_place(bits, own, nbrs, None, [a, b]) is not None
                    for nbrs in self.pinned_nbrs):
                 continue
             rest = sorted((x for x in range(g.n) if x != a and x != b),
@@ -140,16 +150,34 @@ class _Pattern:
             self.pinned_nbrs.append([[pos[y] for y in iter_bits(bits[x]) if pos[y] < i]
                                      for i, x in enumerate(order)])
 
+    def at_order(self, n: int) -> _Pattern:
+        """The same pattern for hosts K_n, n at most the order it was built
+        for: the arc orbits are shared, not computed again."""
+        pat = copy.copy(self)
+        pat.masks = [(1 << n) - 1] * self.n
+        return pat
+
 
 def _has_pinned_copy(adj: list[int], n: int, pat: _Pattern, u: int, v: int) -> bool:
-    """Does the host graph contain a copy of the pattern using edge (u, v)?"""
-    if not pat.pinned_nbrs:
+    """Does the host graph, on n vertices, contain a copy of the pattern using
+    edge (u, v)?
+
+    A complete pattern K_t is a (t-2)-clique in the common neighborhood of u
+    and v: for K_3 one AND.  Any other pattern is placed from the prefix
+    a -> u, b -> v of each arc-orbit representative (a, b).
+    """
+    if pat.n > n:
         return False
-    if pat.clique_order:
-        return next(_cliques(adj, adj[u] & adj[v], pat.clique_order - 2), None) is not None
-    free = [(1 << n) - 1] * (pat.n - 2)
-    return any(_place(adj, [1 << u, 1 << v, *free], nbrs) is not None
-               for nbrs in pat.pinned_nbrs)
+    t = pat.clique_order
+    if t:
+        common = adj[u] & adj[v]
+        if t == 3:
+            return common != 0
+        return next(_cliques(adj, common, t - 2), None) is not None
+    for nbrs in pat.pinned_nbrs:
+        if _place(adj, pat.masks, nbrs, None, [u, v]) is not None:
+            return True
+    return False
 
 
 def _breaks_lex(red_adj: list[int], u: int, v: int) -> bool:
@@ -162,14 +190,17 @@ def _breaks_lex(red_adj: list[int], u: int, v: int) -> bool:
     the 1.  They break when the rows agree below o.
     """
     for x, o in ((u, v), (v, u)):
-        row, below = red_adj[x], (1 << o) - 1
-        for y in iter_bits(red_adj[o]):
-            if not (red_adj[y] ^ row) & below & ~(1 << y | 1 << x):
+        row, keep = red_adj[x], ((1 << o) - 1) & ~(1 << x)
+        ys = red_adj[o]
+        while ys:
+            low = ys & -ys
+            if not (red_adj[low.bit_length() - 1] ^ row) & keep & ~low:
                 return True
+            ys ^= low
     return False
 
 
-def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
+def find_witness(n: int, H: Graph | _Pattern, G: Graph | _Pattern) -> TwoColoring | None:
     """First witness coloring of K_n under the red-before-blue DFS, or None.
 
     Edges are fixed in row-major order, red before blue.  Only colorings
@@ -179,6 +210,9 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
     means that no witness exists (Codish, Miller, Prosser and Stuckey,
     Constraints 24, 2019).  The lex check relies on the row-major order: a
     red edge never breaks sb_l, and a blue one is checked by `_breaks_lex`.
+
+    H and G may also be given as `_Pattern`s built for an order of at least
+    n, as ramsey_number does to compute their arc orbits once for all levels.
     """
     if n < 1:
         raise InputError("order must be at least 1")
@@ -192,7 +226,8 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
         return None
 
     edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pat_h, pat_g = _Pattern(H, n), _Pattern(G, n)
+    pat_h, pat_g = (p.at_order(n) if isinstance(p, _Pattern) else _Pattern(p, n)
+                    for p in (H, G))
     red_adj = [0] * n
     blue_adj = [0] * n
 
@@ -232,13 +267,16 @@ def ramsey_number(H: Graph, G: Graph, n_cap: int) -> int | None:
     A witness on K_{n+1} restricts to one on K_n, so the first witness-free
     order is the Ramsey number.  Every order below the Chvátal–Harary bound
     L (`_lower_bound`) has a witness, so the DFS starts at L, and none is
-    built or checked below it.  The start is at most 12, the first order
-    above EDGE_CAP, so that an answer beyond the cap raises the same
-    CapacityError as a walk from 1 would.
+    built or checked below it.  The start is at most MAX_ORDER + 1, the
+    first order above EDGE_CAP, so that an answer beyond the cap raises the
+    same CapacityError as a walk from 1 would.  The two patterns are planned
+    once, for the largest order searched, and every level shares the plans.
     """
     if n_cap < 1:
         raise InputError("n_cap must be at least 1")
-    for n in range(min(_lower_bound(H, G), 12), n_cap + 1):
-        if find_witness(n, H, G) is None:
+    top = min(n_cap, MAX_ORDER)
+    pats = _Pattern(H, top), _Pattern(G, top)
+    for n in range(min(_lower_bound(H, G), MAX_ORDER + 1), n_cap + 1):
+        if find_witness(n, *pats) is None:
             return n
     return None

@@ -371,6 +371,37 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["reports"][0]["blue_G_status"] == "found"
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-union", "--m", "100000", "--s", "3"],
+        ["construct", "--s", "3", "--G", "K3", "--n", "5", "--p", "0.5", "--trials", "2000",
+         "--seed", "0"],
+    ], ids=["gen-union", "construct"])
+    def test_closed_stdout_pipe_exits_141_quietly(self, k3_file, argv):
+        # Both write far more than a pipe holds, so they are still writing
+        # when the reader closes its end after the first 10 bytes.
+        argv = [k3_file if a == "K3" else a for a in argv]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen([sys.executable, "-m", "ramseykit", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert len(head) == 10
+        assert (proc.returncode, err) == (141, b"")
+
+    def test_broken_pipe_in_process_leaves_fd_1_alone(self, capsys, monkeypatch):
+        # capsys gives a stdout with no file descriptor; fd 1 keeps its file.
+        def closed(record):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "_emit", closed)
+        before = os.fstat(1)
+        code, out, err = run(capsys, ["gen-union", "--m", "10", "--s", "3"])
+        assert (code, out, err) == (141, "", "")
+        after = os.fstat(1)
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
 
 class TestStatsInputErrors:
     @pytest.mark.parametrize("flag, value", [

@@ -48,6 +48,17 @@ START_PATTERNS = {
     "C5": cycle_graph(5),
     "P5": path_graph(5),
 }
+# Patterns with a component that misses the pinned edge, and the blue
+# patterns they are searched against.
+DISCONNECTED = {
+    "2K2": GRAPHS_UP_TO_3_EDGES["2K2"],
+    "P3+K2": GRAPHS_UP_TO_3_EDGES["P3+K2"],
+    "K3+K2": graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)]),
+    "2K3": graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+}
+AGAINST_DISCONNECTED = {
+    "K3": K3, "C4": C4, "2K2": DISCONNECTED["2K2"], "K3+K2": DISCONNECTED["K3+K2"],
+}
 # The table of TestRamseyNumber.test_published_values.
 PUBLISHED = [
     (K3, C4, 7), (K3, cycle_graph(5), 9), (K3, cycle_graph(6), 11),
@@ -216,6 +227,78 @@ class TestReducedChecks:
                     rows[u] &= ~(1 << v)
                     rows[v] &= ~(1 << u)
         assert outcomes == {False, True}
+
+
+class TestDisconnectedPatterns:
+    """A vertex of a component that misses the pinned edge has no placed
+    neighbor, so its placement starts from every vertex of K_n: the same
+    first witness and pinned-check count as the row-major search with every
+    arc placed, and a witness exactly when the unbroken search finds one."""
+
+    @pytest.mark.parametrize("h", list(DISCONNECTED))
+    def test_matches_reference_searches(self, h, monkeypatch):
+        calls = 0
+        check = exact._has_pinned_copy
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return check(*args)
+
+        monkeypatch.setattr(exact, "_has_pinned_copy", counted)
+        H = DISCONNECTED[h]
+        found = []
+        for g, G in AGAINST_DISCONNECTED.items():
+            for n in range(1, 7):
+                calls = 0
+                witness = find_witness(n, H, G)
+                want, pinned_checks, _ = row_major_reference_search(n, H, G)
+                assert (witness, calls) == (want, pinned_checks), (h, g, n)
+                assert (witness is None) == (reference_find_witness(n, H, G) is None), (h, g, n)
+                found.append(witness)
+        assert any(w is not None for w in found)
+
+
+class TestPatternsPlannedOnce:
+    @pytest.mark.parametrize("H, G, levels", [(K3, cycle_graph(5), [9]), (K3, K3, [5, 6])])
+    def test_one_plan_per_pattern_per_call(self, monkeypatch, H, G, levels):
+        built, searched = [], []
+
+        class Counted(exact._Pattern):
+            __slots__ = ()
+
+            def __init__(self, g, n):
+                built.append(g)
+                super().__init__(g, n)
+
+        search = exact.find_witness
+
+        def recorded(n, *patterns):
+            searched.append(n)
+            return search(n, *patterns)
+
+        monkeypatch.setattr(exact, "_Pattern", Counted)
+        monkeypatch.setattr(exact, "find_witness", recorded)
+        assert ramsey_number(H, G, 9) == levels[-1]
+        assert searched == levels
+        assert built == [H, G]
+
+    def test_plan_at_a_smaller_order_keeps_its_orbits(self):
+        c5 = cycle_graph(5)
+        pat = exact._Pattern(c5, 9)
+        small = pat.at_order(6)
+        assert small.pinned_nbrs is pat.pinned_nbrs
+        assert small.masks == exact._Pattern(c5, 6).masks == [63] * 5
+        assert pat.masks == [511] * 5
+
+    def test_pattern_larger_than_the_level_is_not_placed(self, monkeypatch):
+        # Planned for K_9, P6 keeps its orbits; on K_5 it has no copy, and
+        # the check says so without a placement.
+        pat = exact._Pattern(path_graph(6), 9).at_order(5)
+        assert pat.pinned_nbrs
+        monkeypatch.setattr(exact, "_place", None)
+        complete = [0b11111 ^ (1 << x) for x in range(5)]
+        assert not exact._has_pinned_copy(complete, 5, pat, 0, 1)
 
 
 class TestRamseyNumber:

@@ -1,6 +1,7 @@
 """The two shared search kernels, `detect._cliques` and `detect._place`:
-independent oracles (itertools, networkx, brute-force pinned copies), depth
-far beyond the recursion limit, and pinned node-budget thresholds.
+independent oracles (itertools, networkx, brute-force pinned copies), the
+placed-prefix start against pinning by masks, depth far beyond the recursion
+limit, and pinned node-budget thresholds.
 """
 import itertools
 import random
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+import test_exact
 from conftest import GRAPHS_UP_TO_3_EDGES, naive_has_pinned_copy
 from ramseykit import exact
-from ramseykit.detect import _cliques, find_clique, find_copy
+from ramseykit.detect import _cliques, _place, find_clique, find_copy
 from ramseykit.errors import SearchBudgetExceeded
 from ramseykit.graphs import (
     TwoColoring,
@@ -178,6 +180,61 @@ class TestPlacementOracles:
         monkeypatch.setattr(exact, "find_copy", forbidden)
         assert exact.find_witness(5, complete_graph(3), cycle_graph(4)) is not None
         assert exact.find_witness(6, complete_graph(3), complete_graph(3)) is None
+
+
+def pinned_plans(g):
+    """The placement orders `_has_pinned_copy` starts at a pinned edge: one
+    per arc orbit, or for a complete pattern, which it checks with a clique
+    search instead, the one order 0, 1, ..., t-1."""
+    if exact._is_complete(g):
+        return [[list(range(i)) for i in range(g.n)]]
+    return exact._Pattern(g, g.n).pinned_nbrs
+
+
+class TestPlacedPrefix:
+    def test_prefix_matches_pinned_masks(self):
+        # Starting from the placed prefix [u, v] finds the same image as
+        # pinning positions 0 and 1 to u and v by their masks, and leaves the
+        # prefix as it was when there is none.
+        rng = random.Random(13)
+        outcomes = set()
+        for _ in range(200):
+            n = rng.randint(2, 9)
+            adj = random_coloring_local(rng, n, rng.random()).red_adjacency_bits()
+            arcs = [(u, v) for u in range(n) for v in range(n) if adj[u] >> v & 1]
+            for name, g in test_exact.TestReducedChecks.PATTERNS.items():
+                masks = [(1 << n) - 1] * g.n
+                for nbrs in pinned_plans(g):
+                    for u, v in arcs:
+                        want = _place(adj, [1 << u, 1 << v, *masks[2:]], nbrs)
+                        prefix = [u, v]
+                        got = _place(adj, masks, nbrs, None, prefix)
+                        assert got == want, (name, n, u, v)
+                        assert (got is prefix) if want else (prefix == [u, v])
+                        outcomes.add(want is None)
+        assert outcomes == {False, True}
+
+    def test_complete_prefix_is_the_image(self):
+        assert _place([0b10, 0b01], [0b11, 0b11], [[], [0]], None, [0, 1]) == [0, 1]
+        assert _place([], [], [], None, []) == []
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_complete_patterns_match_brute_force(self, t, monkeypatch):
+        # K3 is one AND of two rows: it never reaches the clique search.
+        if t == 3:
+            monkeypatch.setattr(exact, "_cliques", None)
+        g = complete_graph(t)
+        rng = random.Random(t)
+        outcomes = set()
+        for _ in range(40):
+            col = random_coloring_local(rng, rng.randint(2, 7), rng.uniform(0.4, 0.9))
+            adj = col.red_adjacency_bits()
+            pat = exact._Pattern(g, col.n)
+            for u, v in sorted(col.red):
+                got = exact._has_pinned_copy(adj, col.n, pat, u, v)
+                assert got == naive_has_pinned_copy(col, "red", g, u, v), (t, col.red, u, v)
+                outcomes.add(got)
+        assert outcomes == ({True} if t == 2 else {False, True})
 
 
 class TestDeepPlacement:
