@@ -30,8 +30,7 @@ pinned on the new edge: `_place` starts from the placed prefix [u, v], which
 is a valid partial image because (u, v) is the edge just added, and searches
 only the other pattern vertices.  One arc per orbit suffices: if a copy maps
 arc (a, b) onto (u, v) and the automorphism s takes the representative to
-(a, b), the copy composed with s maps the representative onto (u, v).  The
-orbits do not depend on n, so ramsey_number computes them once per call.
+(a, b), the copy composed with s maps the representative onto (u, v).
 
 ramsey_number does not search the orders below the Chvátal–Harary bound
 (Chvátal and Harary, Pacific J. Math. 41, 1972): a fixed coloring settles
@@ -50,16 +49,12 @@ blue one is checked against the red neighbours y of o only.
 """
 from __future__ import annotations
 
-import copy
-
 from .bitset import iter_bits
 from .detect import _cliques, _place, find_copy
 from .errors import CapacityError, InputError
 from .graphs import Graph, TwoColoring
 
 EDGE_CAP = 55
-# The largest order whose K_n has at most EDGE_CAP edges.
-MAX_ORDER = 11
 
 
 def is_witness(col: TwoColoring, H: Graph, G: Graph) -> bool:
@@ -119,10 +114,9 @@ def _lower_bound(H: Graph, G: Graph) -> int:
 class _Pattern:
     """Static pattern data for pinned-edge containment checks in K_n."""
 
-    __slots__ = ("n", "edge_count", "clique_order", "pinned_nbrs", "masks")
+    __slots__ = ("clique_order", "pinned_nbrs", "masks")
 
     def __init__(self, g: Graph, n: int):
-        self.n, self.edge_count = g.n, g.edge_count
         self.clique_order = g.n if _is_complete(g) else 0
         # Every position may go to any vertex of K_n.
         self.masks = [(1 << n) - 1] * g.n
@@ -150,24 +144,14 @@ class _Pattern:
             self.pinned_nbrs.append([[pos[y] for y in iter_bits(bits[x]) if pos[y] < i]
                                      for i, x in enumerate(order)])
 
-    def at_order(self, n: int) -> _Pattern:
-        """The same pattern for hosts K_n, n at most the order it was built
-        for: the arc orbits are shared, not computed again."""
-        pat = copy.copy(self)
-        pat.masks = [(1 << n) - 1] * self.n
-        return pat
 
-
-def _has_pinned_copy(adj: list[int], n: int, pat: _Pattern, u: int, v: int) -> bool:
-    """Does the host graph, on n vertices, contain a copy of the pattern using
-    edge (u, v)?
+def _has_pinned_copy(adj: list[int], pat: _Pattern, u: int, v: int) -> bool:
+    """Does the host graph contain a copy of the pattern using edge (u, v)?
 
     A complete pattern K_t is a (t-2)-clique in the common neighborhood of u
     and v: for K_3 one AND.  Any other pattern is placed from the prefix
     a -> u, b -> v of each arc-orbit representative (a, b).
     """
-    if pat.n > n:
-        return False
     t = pat.clique_order
     if t:
         common = adj[u] & adj[v]
@@ -200,7 +184,7 @@ def _breaks_lex(red_adj: list[int], u: int, v: int) -> bool:
     return False
 
 
-def find_witness(n: int, H: Graph | _Pattern, G: Graph | _Pattern) -> TwoColoring | None:
+def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
     """First witness coloring of K_n under the red-before-blue DFS, or None.
 
     Edges are fixed in row-major order, red before blue.  Only colorings
@@ -210,9 +194,6 @@ def find_witness(n: int, H: Graph | _Pattern, G: Graph | _Pattern) -> TwoColorin
     means that no witness exists (Codish, Miller, Prosser and Stuckey,
     Constraints 24, 2019).  The lex check relies on the row-major order: a
     red edge never breaks sb_l, and a blue one is checked by `_breaks_lex`.
-
-    H and G may also be given as `_Pattern`s built for an order of at least
-    n, as ramsey_number does to compute their arc orbits once for all levels.
     """
     if n < 1:
         raise InputError("order must be at least 1")
@@ -226,8 +207,7 @@ def find_witness(n: int, H: Graph | _Pattern, G: Graph | _Pattern) -> TwoColorin
         return None
 
     edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pat_h, pat_g = (p.at_order(n) if isinstance(p, _Pattern) else _Pattern(p, n)
-                    for p in (H, G))
+    pat_h, pat_g = _Pattern(H, n), _Pattern(G, n)
     red_adj = [0] * n
     blue_adj = [0] * n
 
@@ -239,7 +219,7 @@ def find_witness(n: int, H: Graph | _Pattern, G: Graph | _Pattern) -> TwoColorin
 
         red_adj[u] |= bv
         red_adj[v] |= bu
-        if not _has_pinned_copy(red_adj, n, pat_h, u, v):
+        if not _has_pinned_copy(red_adj, pat_h, u, v):
             witness = dfs(i + 1)
             if witness is not None:
                 return witness
@@ -249,7 +229,7 @@ def find_witness(n: int, H: Graph | _Pattern, G: Graph | _Pattern) -> TwoColorin
         blue_adj[u] |= bv
         blue_adj[v] |= bu
         if (not _breaks_lex(red_adj, u, v)
-                and not _has_pinned_copy(blue_adj, n, pat_g, u, v)):
+                and not _has_pinned_copy(blue_adj, pat_g, u, v)):
             witness = dfs(i + 1)
             if witness is not None:
                 return witness
@@ -267,16 +247,13 @@ def ramsey_number(H: Graph, G: Graph, n_cap: int) -> int | None:
     A witness on K_{n+1} restricts to one on K_n, so the first witness-free
     order is the Ramsey number.  Every order below the Chvátal–Harary bound
     L (`_lower_bound`) has a witness, so the DFS starts at L, and none is
-    built or checked below it.  The start is at most MAX_ORDER + 1, the
-    first order above EDGE_CAP, so that an answer beyond the cap raises the
-    same CapacityError as a walk from 1 would.  The two patterns are planned
-    once, for the largest order searched, and every level shares the plans.
+    built or checked below it.  The start is at most 12, the first order
+    above EDGE_CAP, so that an answer beyond the cap raises the same
+    CapacityError as a walk from 1 would.
     """
     if n_cap < 1:
         raise InputError("n_cap must be at least 1")
-    top = min(n_cap, MAX_ORDER)
-    pats = _Pattern(H, top), _Pattern(G, top)
-    for n in range(min(_lower_bound(H, G), MAX_ORDER + 1), n_cap + 1):
-        if find_witness(n, *pats) is None:
+    for n in range(min(_lower_bound(H, G), 12), n_cap + 1):
+        if find_witness(n, H, G) is None:
             return n
     return None

@@ -11,7 +11,16 @@ import random
 from ramseykit.construct import random_coloring, trial_seed
 from ramseykit.detect import _greedy_packing, max_edge_disjoint_packing
 from ramseykit.exact import find_witness
-from ramseykit.graphs import Graph, TwoColoring, graph_from_edges, coloring_from_red
+from ramseykit.graphs import (
+    Graph,
+    TwoColoring,
+    coloring_from_red,
+    complete_graph,
+    cycle_graph,
+    graph_from_edges,
+    path_graph,
+    star_graph,
+)
 
 
 def all_colorings(n: int):
@@ -172,6 +181,23 @@ GRAPHS_UP_TO_3_EDGES = {
     "P3+K2": graph_from_edges(5, [(0, 1), (1, 2), (3, 4)]),
     "3K2": graph_from_edges(6, [(0, 1), (2, 3), (4, 5)]),
 }
+
+# Patterns on at most 4 vertices, each searched against each by the exact
+# search's symmetry-breaking tests.
+SB_PATTERNS = {
+    "K2": complete_graph(2),
+    "K3": complete_graph(3),
+    "P3": path_graph(3),
+    "P4": path_graph(4),
+    "K1_3": star_graph(3),
+    "C4": cycle_graph(4),
+    "paw": graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "K4-e": graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "K4": complete_graph(4),
+    "2K2": graph_from_edges(4, [(0, 1), (2, 3)]),
+}
+# The patterns whose pinned checks are compared with the full ones.
+PINNED_PATTERNS = {**SB_PATTERNS, "C5": cycle_graph(5), "P5": path_graph(5)}
 
 
 def naive_has_pinned_copy(col: TwoColoring, color: str, G: Graph, u: int, v: int) -> bool:

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import (
     GRAPHS_UP_TO_3_EDGES,
+    PINNED_PATTERNS,
+    SB_PATTERNS,
     all_colorings,
     full_scan_breaks_lex,
     naive_find_copy,
@@ -29,18 +31,6 @@ from ramseykit.graphs import (
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
 RED_C5 = coloring_from_red(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-SB_PATTERNS = {
-    "K2": complete_graph(2),
-    "K3": K3,
-    "P3": path_graph(3),
-    "P4": path_graph(4),
-    "K1_3": star_graph(3),
-    "C4": C4,
-    "paw": graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
-    "K4-e": graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
-    "K4": complete_graph(4),
-    "2K2": graph_from_edges(4, [(0, 1), (2, 3)]),
-}
 START_PATTERNS = {
     **GRAPHS_UP_TO_3_EDGES,
     "K4": complete_graph(4),
@@ -172,12 +162,22 @@ class TestReducedChecks:
     """The search with one pinned placement per arc orbit and the row-major
     lex check against the same row-major DFS with every arc placed and every
     row pair compared after every edge: same nodes, so the same first
-    witness and the same number of pinned-copy checks."""
+    witness and the same number of pinned-copy checks.
 
-    PATTERNS = {**SB_PATTERNS, "C5": cycle_graph(5), "P5": path_graph(5)}
+    A vertex of a component that misses the pinned edge has no placed
+    neighbor, so its placement starts from every vertex of K_n.  The
+    disconnected red patterns are also checked against the unbroken search:
+    a witness exactly when it finds one (n stops at 6, as for
+    TestSymmetryBreaking.test_matches_unbroken_search)."""
 
-    @pytest.mark.parametrize("h", list(PATTERNS))
-    def test_same_search_as_full_checks(self, h, monkeypatch):
+    CASES = [
+        *(pytest.param(H, PINNED_PATTERNS, 7, False, id=h) for h, H in PINNED_PATTERNS.items()),
+        *(pytest.param(H, AGAINST_DISCONNECTED, 6, True, id=f"{h}-disconnected")
+          for h, H in DISCONNECTED.items()),
+    ]
+
+    @pytest.mark.parametrize("H, blues, max_n, unbroken", CASES)
+    def test_same_search_as_full_checks(self, H, blues, max_n, unbroken, monkeypatch):
         calls = {"pinned": 0, "lex": 0}
 
         def counted(name, check):
@@ -188,18 +188,22 @@ class TestReducedChecks:
 
         monkeypatch.setattr(exact, "_has_pinned_copy", counted("pinned", exact._has_pinned_copy))
         monkeypatch.setattr(exact, "_breaks_lex", counted("lex", exact._breaks_lex))
-        H = self.PATTERNS[h]
         found = []
-        for G in self.PATTERNS.values():
-            for n in range(1, 8):
+        for G in blues.values():
+            for n in range(1, max_n + 1):
                 calls.update(pinned=0, lex=0)
                 witness = find_witness(n, H, G)
                 want, pinned_checks, blue_children = row_major_reference_search(n, H, G)
-                assert witness == want, (h, G, n)
+                assert witness == want, (G, n)
                 # Only the blue branch checks sb_l, once per blue child.
-                assert (calls["pinned"], calls["lex"]) == (pinned_checks, blue_children), (h, G, n)
+                assert (calls["pinned"], calls["lex"]) == (pinned_checks, blue_children), (G, n)
+                if unbroken:
+                    assert (witness is None) == (reference_find_witness(n, H, G) is None), (G, n)
                 found.append(witness)
-        assert any(w is not None for w in found) and None in found
+        assert any(w is not None for w in found)
+        # r(2K3, K3) = 8 (Burr, Erdős and Spencer), so 2K3 has a witness at
+        # every order searched; every other red pattern meets one without.
+        assert (None in found) != (H is DISCONNECTED["2K3"])
 
     def test_lex_check_in_row_major_order(self):
         # Fix the pairs of K_n in row-major order, each in a random color
@@ -227,78 +231,6 @@ class TestReducedChecks:
                     rows[u] &= ~(1 << v)
                     rows[v] &= ~(1 << u)
         assert outcomes == {False, True}
-
-
-class TestDisconnectedPatterns:
-    """A vertex of a component that misses the pinned edge has no placed
-    neighbor, so its placement starts from every vertex of K_n: the same
-    first witness and pinned-check count as the row-major search with every
-    arc placed, and a witness exactly when the unbroken search finds one."""
-
-    @pytest.mark.parametrize("h", list(DISCONNECTED))
-    def test_matches_reference_searches(self, h, monkeypatch):
-        calls = 0
-        check = exact._has_pinned_copy
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return check(*args)
-
-        monkeypatch.setattr(exact, "_has_pinned_copy", counted)
-        H = DISCONNECTED[h]
-        found = []
-        for g, G in AGAINST_DISCONNECTED.items():
-            for n in range(1, 7):
-                calls = 0
-                witness = find_witness(n, H, G)
-                want, pinned_checks, _ = row_major_reference_search(n, H, G)
-                assert (witness, calls) == (want, pinned_checks), (h, g, n)
-                assert (witness is None) == (reference_find_witness(n, H, G) is None), (h, g, n)
-                found.append(witness)
-        assert any(w is not None for w in found)
-
-
-class TestPatternsPlannedOnce:
-    @pytest.mark.parametrize("H, G, levels", [(K3, cycle_graph(5), [9]), (K3, K3, [5, 6])])
-    def test_one_plan_per_pattern_per_call(self, monkeypatch, H, G, levels):
-        built, searched = [], []
-
-        class Counted(exact._Pattern):
-            __slots__ = ()
-
-            def __init__(self, g, n):
-                built.append(g)
-                super().__init__(g, n)
-
-        search = exact.find_witness
-
-        def recorded(n, *patterns):
-            searched.append(n)
-            return search(n, *patterns)
-
-        monkeypatch.setattr(exact, "_Pattern", Counted)
-        monkeypatch.setattr(exact, "find_witness", recorded)
-        assert ramsey_number(H, G, 9) == levels[-1]
-        assert searched == levels
-        assert built == [H, G]
-
-    def test_plan_at_a_smaller_order_keeps_its_orbits(self):
-        c5 = cycle_graph(5)
-        pat = exact._Pattern(c5, 9)
-        small = pat.at_order(6)
-        assert small.pinned_nbrs is pat.pinned_nbrs
-        assert small.masks == exact._Pattern(c5, 6).masks == [63] * 5
-        assert pat.masks == [511] * 5
-
-    def test_pattern_larger_than_the_level_is_not_placed(self, monkeypatch):
-        # Planned for K_9, P6 keeps its orbits; on K_5 it has no copy, and
-        # the check says so without a placement.
-        pat = exact._Pattern(path_graph(6), 9).at_order(5)
-        assert pat.pinned_nbrs
-        monkeypatch.setattr(exact, "_place", None)
-        complete = [0b11111 ^ (1 << x) for x in range(5)]
-        assert not exact._has_pinned_copy(complete, 5, pat, 0, 1)
 
 
 class TestRamseyNumber:

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-import test_exact
-from conftest import GRAPHS_UP_TO_3_EDGES, naive_has_pinned_copy
+from conftest import GRAPHS_UP_TO_3_EDGES, PINNED_PATTERNS, naive_has_pinned_copy
 from ramseykit import exact
 from ramseykit.detect import _cliques, _place, find_clique, find_copy
 from ramseykit.errors import SearchBudgetExceeded
@@ -133,6 +132,7 @@ class TestPlacementOracles:
         patterns = dict(GRAPHS_UP_TO_3_EDGES)
         patterns.update(ORBIT_PATTERNS)
         patterns["K4"] = complete_graph(4)
+        patterns["K5"] = complete_graph(5)
         rng = random.Random(7)
         for _ in range(12):
             col = random_coloring_local(rng, rng.randint(4, 7), rng.uniform(0.3, 0.8))
@@ -140,7 +140,7 @@ class TestPlacementOracles:
             for name, g in patterns.items():
                 pat = exact._Pattern(g, col.n)
                 for u, v in sorted(col.red):
-                    got = exact._has_pinned_copy(adj, col.n, pat, u, v)
+                    got = exact._has_pinned_copy(adj, pat, u, v)
                     assert got == naive_has_pinned_copy(col, "red", g, u, v), (name, u, v)
 
     @pytest.mark.parametrize("name, count", [
@@ -202,7 +202,7 @@ class TestPlacedPrefix:
             n = rng.randint(2, 9)
             adj = random_coloring_local(rng, n, rng.random()).red_adjacency_bits()
             arcs = [(u, v) for u in range(n) for v in range(n) if adj[u] >> v & 1]
-            for name, g in test_exact.TestReducedChecks.PATTERNS.items():
+            for name, g in PINNED_PATTERNS.items():
                 masks = [(1 << n) - 1] * g.n
                 for nbrs in pinned_plans(g):
                     for u, v in arcs:
@@ -218,23 +218,21 @@ class TestPlacedPrefix:
         assert _place([0b10, 0b01], [0b11, 0b11], [[], [0]], None, [0, 1]) == [0, 1]
         assert _place([], [], [], None, []) == []
 
-    @pytest.mark.parametrize("t", [2, 3, 4, 5])
-    def test_complete_patterns_match_brute_force(self, t, monkeypatch):
+    def test_triangle_check_needs_no_clique_search(self, monkeypatch):
         # K3 is one AND of two rows: it never reaches the clique search.
-        if t == 3:
-            monkeypatch.setattr(exact, "_cliques", None)
-        g = complete_graph(t)
-        rng = random.Random(t)
+        monkeypatch.setattr(exact, "_cliques", None)
+        k3 = complete_graph(3)
+        rng = random.Random(3)
         outcomes = set()
         for _ in range(40):
             col = random_coloring_local(rng, rng.randint(2, 7), rng.uniform(0.4, 0.9))
             adj = col.red_adjacency_bits()
-            pat = exact._Pattern(g, col.n)
+            pat = exact._Pattern(k3, col.n)
             for u, v in sorted(col.red):
-                got = exact._has_pinned_copy(adj, col.n, pat, u, v)
-                assert got == naive_has_pinned_copy(col, "red", g, u, v), (t, col.red, u, v)
+                got = exact._has_pinned_copy(adj, pat, u, v)
+                assert got == naive_has_pinned_copy(col, "red", k3, u, v), (col.red, u, v)
                 outcomes.add(got)
-        assert outcomes == ({True} if t == 2 else {False, True})
+        assert outcomes == {False, True}
 
 
 class TestDeepPlacement:
