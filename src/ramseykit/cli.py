@@ -37,7 +37,7 @@ from .construct import (
 from .detect import max_edge_disjoint_packing
 from .embed import embed_general
 from .errors import CapacityError, EmbedFailure, InputError
-from .exact import ramsey_number
+from .exact import EDGE_CAP, FIRST_ORDER_OVER_CAP, ramsey_number
 from .graphs import (
     parse_coloring,
     parse_graph,
@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--G", type=str, required=True, help="blue-side graph file")
     p.add_argument("--cap", type=int, default=9,
                    help="highest order n to search (default 9); reaching an order "
-                        "above 11, beyond the search's 55-edge cap, exits 2")
+                        f"above {FIRST_ORDER_OVER_CAP - 1}, beyond the search's "
+                        f"{EDGE_CAP}-edge cap, exits 2")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("gen-union", help="disjoint-clique graph with >= m edges")

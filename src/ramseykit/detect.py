@@ -86,12 +86,14 @@ class _NodeCounter:
 
 
 # ---------------------------------------------------------------------------
-# The two search kernels
+# The search kernels
 # ---------------------------------------------------------------------------
 #
-# Both are depth-first searches driven by an explicit stack, so their depth is
-# not limited by the interpreter's recursion limit.  Each ticks `counter` once
-# per prefix visited, the empty prefix included.
+# `_cliques`, `_place` and the branch and bound of `_exact_packing` are
+# depth-first searches driven by an explicit stack, so their depth is not
+# limited by the interpreter's recursion limit.  `_greedy_packing` writes out
+# `_cliques`'s loop again: built on `_cliques`, it was slower.  The first two
+# tick `counter` once per prefix visited, the empty prefix included.
 
 def _cliques(adj: list[int], cand: int, s: int,
              counter: _NodeCounter | None = None) -> Iterator[tuple[int, ...]]:
@@ -217,17 +219,32 @@ def find_clique(col: TwoColoring, color: Color, s: int,
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache
-def _pattern_plan(G: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """`find_copy`'s plan for the immutable pattern G, built once per graph: the
-    placement order (decreasing degree, ties by id), the degree at each
-    position, and the earlier positions adjacent to each position."""
-    gdeg = G.degrees()
-    gadj = G.adjacency_bits()
-    order = sorted(range(G.n), key=lambda g: (-gdeg[g], g))
-    pos = {g: i for i, g in enumerate(order)}
-    placed_nbrs = tuple(tuple(pos[h] for h in iter_bits(gadj[g]) if pos[h] < i)
-                        for i, g in enumerate(order))
-    return tuple(order), tuple(gdeg[g] for g in order), placed_nbrs
+def _pattern_plan(G: Graph, head: tuple[int, ...] = ()) -> tuple[
+        tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The plan `_place` follows for the immutable pattern G, built once per
+    (G, head): a placement order that starts with `head`, the degree at each
+    position, and the earlier positions adjacent to each position.  After the
+    head, the next vertex is the unplaced one of highest degree, ties by id,
+    among those adjacent to a placed one if there are any; so in a connected
+    pattern every position after the first has a placed neighbor."""
+    deg, gadj = G.degrees(), G.adjacency_bits()
+    # Vertex sets are masks over ranks in that order: the least bit goes next.
+    by_rank = sorted(range(G.n), key=lambda x: (-deg[x], x))
+    rank = {x: r for r, x in enumerate(by_rank)}
+    order: list[int] = []
+    unplaced, reached = (1 << G.n) - 1, 0
+    while unplaced:
+        if len(order) < len(head):
+            r = rank[head[len(order)]]
+        else:
+            pick = reached & unplaced or unplaced
+            r = (pick & -pick).bit_length() - 1
+        order.append(by_rank[r])
+        unplaced ^= 1 << r
+        reached |= bits_of(rank[y] for y in iter_bits(gadj[by_rank[r]]))
+    pos = {x: i for i, x in enumerate(order)}
+    return tuple(order), tuple(deg[x] for x in order), tuple(
+        tuple(pos[y] for y in iter_bits(gadj[x]) if pos[y] < i) for i, x in enumerate(order))
 
 
 def find_copy(col: TwoColoring, color: Color, G: Graph,
@@ -315,57 +332,59 @@ def _greedy_packing(adj: list[int], n: int, s: int) -> Iterator[tuple[int, ...]]
             rests.append(rest)
 
 
-def _exact_packing(adj: list[int], n: int, s: int,
+def _exact_packing(col: TwoColoring, s: int,
                    target: int | None = None) -> list[tuple[int, ...]]:
-    """Maximum-cardinality edge-disjoint packing by branch and bound.
+    """Maximum-cardinality edge-disjoint packing of red s-cliques; with a
+    `target` k, k members when k fit and fewer otherwise.
 
-    With a `target` k the search decides whether k members fit instead: it
-    stops as soon as it has chosen k cliques and prunes every branch whose
-    bound is below k, so it returns k members when k fit and fewer otherwise.
+    Branch and bound over the cliques in lexicographic order, each included
+    before it is excluded.  Exits come first: with a target, fewer than
+    k * C(s,2) red pairs, before any row is copied; then `cap`, the sum of
+    floor(deg_red(v) / (s-1)) divided by s, as a member takes s - 1 red pairs
+    at each of its s vertices.  The goal is cap, or k.  The search starts
+    from the greedy packing cut to the goal, its own first leaf, and stops
+    once it holds the goal; a later leaf replaces the best only when larger,
+    so neither changes the members.  A branch is cut when its chosen cliques
+    and all later ones stay below `need` (one more than the best, or k).  As
+    chosen cliques are edge-disjoint, the free pairs bound a packing only by
+    red_count // C(s,2) >= cap, never tighter.  The stack is `chosen`: every
+    exclusion still to try is that of a chosen clique.
     """
-    cliques = list(_cliques(adj, (1 << n) - 1, s))
-    if not cliques:
+    n = col.n
+    if target is not None and col.red_count // math.comb(s, 2) < target:
         return []
-    pair_bit = {}
-    for u in range(n):
-        for v in iter_bits(adj[u] & (-1 << (u + 1))):
-            pair_bit[(u, v)] = len(pair_bit)
-    all_pairs_mask = (1 << len(pair_bit)) - 1
-    per_clique = math.comb(s, 2)
-    masks = []
-    for member in cliques:
-        mask = 0
-        for i in range(s):
-            for j in range(i + 1, s):
-                mask |= 1 << pair_bit[(member[i], member[j])]
-        masks.append(mask)
-
-    best: list[tuple[int, ...]] = []
-
-    def rec(i: int, used: int, chosen: list[tuple[int, ...]]) -> bool:
-        """Search the cliques from i on; True once `target` members are chosen."""
-        nonlocal best
+    adj = col.red_adjacency_bits()
+    cap = sum(row.bit_count() // (s - 1) for row in adj) // s
+    goal = cap if target is None else target
+    if goal > cap:
+        return []
+    best = list(itertools.islice(_greedy_packing(list(adj), n, s), goal))
+    if len(best) == goal:
+        return best
+    cliques = list(_cliques(adj, (1 << n) - 1, s))
+    # Bit u * n + v of a mask stands for the pair (u, v), u < v.
+    masks = [sum(1 << (u * n + v) for u, v in itertools.combinations(member, 2))
+             for member in cliques]
+    last, need = len(cliques), target or len(best) + 1
+    chosen: list[int] = []
+    used = i = 0
+    while True:
         if len(chosen) > len(best):
-            best = list(chosen)
-            if len(best) == target:
-                return True
-        if i == len(cliques):
-            return False
-        # The smallest size worth reaching: beyond the best so far, or the target.
-        need = len(best) + 1 if target is None else target
-        free = (all_pairs_mask & ~used).bit_count() // per_clique
-        if len(chosen) + min(len(cliques) - i, free) < need:
-            return False
-        if not (masks[i] & used):
-            chosen.append(cliques[i])
-            found = rec(i + 1, used | masks[i], chosen)
-            chosen.pop()
-            if found:
-                return True
-        return rec(i + 1, used, chosen)
-
-    rec(0, 0, [])
-    return best
+            best = [cliques[j] for j in chosen]
+            if len(best) == goal:
+                return best
+            need = max(need, len(best) + 1)
+        if i < last and len(chosen) + last - i >= need:
+            if not masks[i] & used:
+                chosen.append(i)
+                used |= masks[i]
+            i += 1
+            continue
+        if not chosen:
+            return best
+        i = chosen.pop()
+        used ^= masks[i]
+        i += 1
 
 
 def max_edge_disjoint_packing(col: TwoColoring, s: int,
@@ -383,24 +402,18 @@ def max_edge_disjoint_packing(col: TwoColoring, s: int,
         raise InputError(f"mode must be 'greedy' or 'exact', got {mode!r}")
     if mode == "exact" and col.n > EXACT_PACKING_MAX_N:
         raise CapacityError(f"exact packing capped at n <= {EXACT_PACKING_MAX_N}")
-    adj = col.red_adjacency_bits()
     if mode == "greedy":
-        members = _greedy_packing(adj, col.n, s)
+        members = _greedy_packing(col.red_adjacency_bits(), col.n, s)
     else:
-        members = _exact_packing(adj, col.n, s)
+        members = _exact_packing(col, s)
     return CliquePacking(s=s, members=tuple(members))
 
 
 def packing_reaches(col: TwoColoring, s: int, k: int) -> bool:
     """Whether some k red s-cliques of `col` are pairwise edge-disjoint.
 
-    Decides X0 >= k, X0 the maximum packing size, without computing X0.  Four
-    exits come first, each sound on its own: fewer than k * C(s,2) red pairs
-    (False); a sum over vertices v of floor(deg_red(v) / (s-1)) below k * s
-    (False), since a member takes s - 1 red pairs at each of its s vertices;
-    k members of one lazy greedy pass, which are edge-disjoint (True); fewer
-    than k red s-cliques (False).  Otherwise the exact branch and bound runs
-    with target k.
+    Decides X0 >= k, X0 the maximum packing size, without computing X0: the
+    exact search with target k stops at the k-th member.
     """
     if s < 2:
         raise InputError("clique order must be at least 2")
@@ -408,21 +421,7 @@ def packing_reaches(col: TwoColoring, s: int, k: int) -> bool:
         raise InputError("k must be at least 1")
     if col.n > EXACT_PACKING_MAX_N:
         raise CapacityError(f"exact packing capped at n <= {EXACT_PACKING_MAX_N}")
-    if col.red_count < k * math.comb(s, 2):
-        return False
-    adj = col.red_adjacency_bits()
-    if sum(row.bit_count() // (s - 1) for row in adj) < k * s:
-        return False
-    if _count_up_to(_greedy_packing(list(adj), col.n, s), k) == k:
-        return True
-    if _count_up_to(_cliques(adj, (1 << col.n) - 1, s), k) < k:
-        return False
-    return len(_exact_packing(adj, col.n, s, k)) == k
-
-
-def _count_up_to(items: Iterator, k: int) -> int:
-    """Number of items, counting no further than k."""
-    return sum(1 for _ in itertools.islice(items, k))
+    return len(_exact_packing(col, s, k)) == k
 
 
 def max_red_degree_vertex(col: TwoColoring) -> tuple[int, int]:

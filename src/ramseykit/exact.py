@@ -49,12 +49,16 @@ blue one is checked against the red neighbours y of o only.
 """
 from __future__ import annotations
 
+import itertools
+
 from .bitset import iter_bits
-from .detect import _cliques, _place, find_copy
+from .detect import _cliques, _pattern_plan, _place, find_copy
 from .errors import CapacityError, InputError
 from .graphs import Graph, TwoColoring
 
 EDGE_CAP = 55
+# The first order whose K_n has more edges than EDGE_CAP: 12.
+FIRST_ORDER_OVER_CAP = next(n for n in itertools.count(1) if n * (n - 1) // 2 > EDGE_CAP)
 
 
 def is_witness(col: TwoColoring, H: Graph, G: Graph) -> bool:
@@ -121,28 +125,23 @@ class _Pattern:
         # Every position may go to any vertex of K_n.
         self.masks = [(1 << n) - 1] * g.n
         # One placement order per arc orbit, its representative the first arc
-        # (a, b) in sorted order: a, b, then the other vertices by decreasing
-        # degree; stored as `_place` wants it, the earlier neighbors of each
-        # position.  Arc (x, y) is in the orbit of a representative that places
+        # (a, b) in sorted order: a, b, then the other vertices in the order of
+        # `_pattern_plan`; stored as `_place` wants it, the earlier neighbors
+        # of each position.  Arc (x, y) is in the orbit of a representative that places
         # on the pattern itself with a -> x and b -> y, since an injective
         # edge-preserving self-map of a finite graph is an automorphism.  A
         # complete pattern is checked by `_cliques` and a pattern larger than
         # K_n has no copy; neither is given arcs.
-        self.pinned_nbrs: list[list[list[int]]] = []
+        self.pinned_nbrs: list[tuple[tuple[int, ...], ...]] = []
         if g.n > n or self.clique_order:
             return
-        deg, bits = g.degrees(), g.adjacency_bits()
+        bits = g.adjacency_bits()
         own = [(1 << g.n) - 1] * g.n
         for a, b in sorted([*g.edges, *((b, a) for a, b in g.edges)]):
             if any(_place(bits, own, nbrs, None, [a, b]) is not None
                    for nbrs in self.pinned_nbrs):
                 continue
-            rest = sorted((x for x in range(g.n) if x != a and x != b),
-                          key=lambda x: (-deg[x], x))
-            order = [a, b, *rest]
-            pos = {x: i for i, x in enumerate(order)}
-            self.pinned_nbrs.append([[pos[y] for y in iter_bits(bits[x]) if pos[y] < i]
-                                     for i, x in enumerate(order)])
+            self.pinned_nbrs.append(_pattern_plan(g, (a, b))[2])
 
 
 def _has_pinned_copy(adj: list[int], pat: _Pattern, u: int, v: int) -> bool:
@@ -247,13 +246,13 @@ def ramsey_number(H: Graph, G: Graph, n_cap: int) -> int | None:
     A witness on K_{n+1} restricts to one on K_n, so the first witness-free
     order is the Ramsey number.  Every order below the Chvátal–Harary bound
     L (`_lower_bound`) has a witness, so the DFS starts at L, and none is
-    built or checked below it.  The start is at most 12, the first order
-    above EDGE_CAP, so that an answer beyond the cap raises the same
-    CapacityError as a walk from 1 would.
+    built or checked below it.  The start is at most FIRST_ORDER_OVER_CAP,
+    so that an answer beyond the cap raises the same CapacityError as a walk
+    from 1 would.
     """
     if n_cap < 1:
         raise InputError("n_cap must be at least 1")
-    for n in range(min(_lower_bound(H, G), 12), n_cap + 1):
+    for n in range(min(_lower_bound(H, G), FIRST_ORDER_OVER_CAP), n_cap + 1):
         if find_witness(n, H, G) is None:
             return n
     return None

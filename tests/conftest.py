@@ -58,25 +58,36 @@ def naive_find_copy(col: TwoColoring, color: str, G: Graph):
     return None
 
 
-def naive_max_packing_size(col: TwoColoring, s: int) -> int:
-    """Maximum edge-disjoint family of red s-cliques by plain recursion over
-    include/exclude choices; only usable when the clique count is small."""
-    cliques = []
-    for combo in itertools.combinations(range(col.n), s):
-        if all(col.is_red(u, v) for u, v in itertools.combinations(combo, 2)):
-            cliques.append(frozenset(
-                frozenset(p) for p in itertools.combinations(combo, 2)
-            ))
+def reference_max_packing(col: TwoColoring, s: int) -> list[tuple[int, ...]]:
+    """A maximum edge-disjoint family of red s-cliques by plain recursion over
+    the cliques in lexicographic order, each included before it is excluded,
+    with no bound, no greedy start and no stop.  The best family so far is
+    replaced only by a strictly larger one, so this is the first maximum
+    family in that order.  Only usable when the clique count is small."""
+    cliques = [combo for combo in itertools.combinations(range(col.n), s)
+               if all(col.is_red(u, v) for u, v in itertools.combinations(combo, 2))]
+    best: list[tuple[int, ...]] = []
 
-    def best_from(i: int, used: frozenset) -> int:
+    def search(i: int, chosen: list[tuple[int, ...]], covered: frozenset) -> None:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
         if i == len(cliques):
-            return 0
-        score = best_from(i + 1, used)
-        if not (cliques[i] & used):
-            score = max(score, 1 + best_from(i + 1, used | cliques[i]))
-        return score
+            return
+        pairs = frozenset(itertools.combinations(cliques[i], 2))
+        if not pairs & covered:
+            chosen.append(cliques[i])
+            search(i + 1, chosen, covered | pairs)
+            chosen.pop()
+        search(i + 1, chosen, covered)
 
-    return best_from(0, frozenset())
+    search(0, [], frozenset())
+    return best
+
+
+def naive_max_packing_size(col: TwoColoring, s: int) -> int:
+    """The maximum packing size X0, from `reference_max_packing`."""
+    return len(reference_max_packing(col, s))
 
 
 def reference_greedy_packing(col: TwoColoring, s: int) -> list[tuple[int, ...]]:

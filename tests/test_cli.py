@@ -190,14 +190,20 @@ class TestPack:
         assert data["size"] == 1 and data["members"] == [[0, 1, 2]]
 
     def test_exact_mode(self, capsys, tmp_path):
-        col_file = tmp_path / "k5.col"
-        col_file.write_text(serialize_coloring(
-            coloring_from_red(5, complete_graph(5).edges)))
-        code, out, _ = run(capsys, [
-            "pack", "--coloring", str(col_file), "--s", "3", "--exact",
-        ])
-        assert code == 0
-        assert json.loads(out)["size"] == 2
+        # All-red K_n packs floor((n/3) floor((n-1)/2)) edge-disjoint
+        # triangles, one fewer when n = 5 (mod 6) (Schönheim 1966; Spencer
+        # 1968): 13 at n = 10, where the search stops at the per-vertex bound.
+        for n in range(1, 11):
+            col_file = tmp_path / f"k{n}.col"
+            col_file.write_text(serialize_coloring(
+                coloring_from_red(n, complete_graph(n).edges)))
+            code, out, _ = run(capsys, [
+                "pack", "--coloring", str(col_file), "--s", "3", "--exact",
+            ])
+            assert code == 0
+            data = json.loads(out)
+            jsonschema.validate(data, load_schema("pack.schema.json"))
+            assert data["size"] == n * ((n - 1) // 2) // 3 - (n % 6 == 5), n
 
 
 class TestExact:

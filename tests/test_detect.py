@@ -10,6 +10,7 @@ from conftest import (
     naive_has_clique,
     naive_max_packing_size,
     reference_greedy_packing,
+    reference_max_packing,
 )
 from ramseykit.construct import recolor_packing
 from ramseykit.detect import (
@@ -199,6 +200,20 @@ class TestPacking:
             if red_triangles <= 16:  # keep the 2^count oracle tractable
                 assert exact == naive_max_packing_size(col, 3)
 
+    def test_exact_members_match_reference(self):
+        # The root exits, the greedy start and the stop at the goal change no
+        # member: the search returns the first maximum packing of the plain
+        # include-before-exclude search.
+        rng = random.Random(29)
+        cols = [coloring_from_red(n, complete_graph(n).edges) for n in range(1, 8)]
+        cols += [random_coloring_local(rng, rng.randint(1, 8), rng.uniform(0.2, 0.9))
+                 for _ in range(60)]
+        for col in cols:
+            for s in (3, 4):
+                want = reference_max_packing(col, s)
+                assert list(max_edge_disjoint_packing(col, s, "exact").members) == want, (
+                    col.n, sorted(col.red), s)
+
     def test_exact_cap(self):
         with pytest.raises(CapacityError):
             max_edge_disjoint_packing(TwoColoring(13), 3, "exact")
@@ -317,11 +332,10 @@ class TestPackingDecision:
         rng = random.Random(43)
         for _ in range(40):
             col = random_coloring_local(rng, rng.randint(4, 8), rng.uniform(0.3, 0.9))
-            adj = col.red_adjacency_bits()
             x0 = naive_max_packing_size(col, 3)
-            assert len(_exact_packing(adj, col.n, 3)) == x0
+            assert len(_exact_packing(col, 3)) == x0
             for k in range(1, x0 + 3):
-                members = _exact_packing(adj, col.n, 3, k)
+                members = _exact_packing(col, 3, k)
                 assert is_red_packing(col, 3, members)
                 assert len(members) == k if k <= x0 else len(members) < k
 

@@ -13,7 +13,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from conftest import GRAPHS_UP_TO_3_EDGES, PINNED_PATTERNS, naive_has_pinned_copy
 from ramseykit import exact
-from ramseykit.detect import _cliques, _place, find_clique, find_copy
+from ramseykit.detect import _cliques, _pattern_plan, _place, find_clique, find_copy
 from ramseykit.errors import SearchBudgetExceeded
 from ramseykit.graphs import (
     TwoColoring,
@@ -172,6 +172,19 @@ class TestPlacementOracles:
         assert exact._Pattern(big, 9).pinned_nbrs == []
         assert exact.find_witness(9, complete_graph(3), big) == want
         assert want is not None
+
+    def test_every_position_after_the_head_has_a_placed_neighbor(self):
+        # Adjacency to the placed vertices comes before degree, so no position
+        # of a connected pattern's plan may go to any unused host vertex.  In
+        # this tree vertex 3 has the highest degree but is two steps from the
+        # arcs (0, 1) and (1, 0): by degree alone it came before vertex 2.
+        tree = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6)])
+        patterns = {**GRAPHS_UP_TO_3_EDGES, **PINNED_PATTERNS, **ORBIT_PATTERNS, "tree": tree}
+        for name, g in patterns.items():
+            if len(g.components()) > 1:
+                continue
+            for nbrs in [_pattern_plan(g)[2], *exact._Pattern(g, g.n).pinned_nbrs]:
+                assert all(nbrs[1:]), (name, nbrs)
 
     def test_find_witness_does_not_call_find_copy(self, monkeypatch):
         def forbidden(*args, **kwargs):
