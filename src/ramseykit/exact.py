@@ -32,6 +32,17 @@ only the other pattern vertices.  One arc per orbit suffices: if a copy maps
 arc (a, b) onto (u, v) and the automorphism s takes the representative to
 (a, b), the copy composed with s maps the representative onto (u, v).
 
+Every vertex's red and blue degree is capped (Greenwood and Gleason, Canad.
+J. Math. 7, 1955).  Let x be a dominating vertex of H, one adjacent to every
+other vertex.  In a witness, the red neighbourhood N of a vertex v holds no
+red H - x, since adding v as the image of x would give a red H, and no blue
+G; so the coloring on N is a witness for (H - x, G), and |N| < r(H - x, G).
+The blue cap is the same with the colours and patterns swapped.  An edge
+that would push a degree past its cap is refused before the pinned and lex
+checks, so the DFS order is unchanged and no witness is lost.  `_degree_cap`
+gets r(H - x, G) from `ramsey_number` up to n - 1; each sub-pair has one
+vertex fewer and stays below the edge cap, so the recursion ends.
+
 ramsey_number does not search the orders below the Chvátal–Harary bound
 (Chvátal and Harary, Pacific J. Math. 41, 1972): a fixed coloring settles
 them (`_lower_bound`), and the DFS starts at that bound.
@@ -54,7 +65,7 @@ import itertools
 from .bitset import iter_bits
 from .detect import _cliques, _pattern_plan, _place, find_copy
 from .errors import CapacityError, InputError
-from .graphs import Graph, TwoColoring
+from .graphs import Graph, TwoColoring, graph_from_edges
 
 EDGE_CAP = 55
 # The first order whose K_n has more edges than EDGE_CAP: 12.
@@ -183,6 +194,28 @@ def _breaks_lex(red_adj: list[int], u: int, v: int) -> bool:
     return False
 
 
+def _without_dominating_vertex(g: Graph) -> Graph | None:
+    """g minus one vertex adjacent to every other, the rest relabelled in
+    order, or None when g has no such vertex.  An automorphism swaps any two
+    dominating vertices, so which one goes does not matter."""
+    full = (1 << g.n) - 1
+    for x, row in enumerate(g.adjacency_bits()):
+        if row | 1 << x == full:
+            return graph_from_edges(g.n - 1, ((a - (a > x), b - (b > x))
+                                              for a, b in g.edges if x != a and x != b))
+    return None
+
+
+def _degree_cap(n: int, H: Graph, G: Graph) -> int:
+    """The most red neighbours a vertex has in a witness coloring of K_n:
+    r(H - x, G) - 1 for a dominating vertex x of H, or n - 1 when H has none
+    or r(H - x, G) > n - 1.  The red neighbourhood of v holds no red H - x,
+    which with x -> v would be a red H, and no blue G."""
+    rest = _without_dominating_vertex(H)
+    r = ramsey_number(rest, G, n - 1) if rest is not None and n >= 2 else None
+    return n - 1 if r is None else r - 1
+
+
 def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
     """First witness coloring of K_n under the red-before-blue DFS, or None.
 
@@ -193,6 +226,14 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
     means that no witness exists (Codish, Miller, Prosser and Stuckey,
     Constraints 24, 2019).  The lex check relies on the row-major order: a
     red edge never breaks sb_l, and a blue one is checked by `_breaks_lex`.
+
+    An edge is refused, before any other check, when it gives one of its
+    ends more neighbours of its colour than `_degree_cap` allows.  In a
+    witness, a vertex's red neighbourhood is a witness for (H - x, G), x a
+    dominating vertex of H, so it has fewer than r(H - x, G) vertices, and
+    likewise in blue; no refused subtree holds a witness.  The caps come
+    from searches of the smaller pairs up to order n - 1, run afresh on
+    each call.
     """
     if n < 1:
         raise InputError("order must be at least 1")
@@ -205,6 +246,7 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
     if G.edge_count == 0 and G.n <= n:
         return None
 
+    red_cap, blue_cap = _degree_cap(n, H, G), _degree_cap(n, G, H)
     edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
     pat_h, pat_g = _Pattern(H, n), _Pattern(G, n)
     red_adj = [0] * n
@@ -218,7 +260,8 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
 
         red_adj[u] |= bv
         red_adj[v] |= bu
-        if not _has_pinned_copy(red_adj, pat_h, u, v):
+        if (red_adj[u].bit_count() <= red_cap and red_adj[v].bit_count() <= red_cap
+                and not _has_pinned_copy(red_adj, pat_h, u, v)):
             witness = dfs(i + 1)
             if witness is not None:
                 return witness
@@ -227,7 +270,8 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
 
         blue_adj[u] |= bv
         blue_adj[v] |= bu
-        if (not _breaks_lex(red_adj, u, v)
+        if (blue_adj[u].bit_count() <= blue_cap and blue_adj[v].bit_count() <= blue_cap
+                and not _breaks_lex(red_adj, u, v)
                 and not _has_pinned_copy(blue_adj, pat_g, u, v)):
             witness = dfs(i + 1)
             if witness is not None:

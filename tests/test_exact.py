@@ -49,11 +49,20 @@ DISCONNECTED = {
 AGAINST_DISCONNECTED = {
     "K3": K3, "C4": C4, "2K2": DISCONNECTED["2K2"], "K3+K2": DISCONNECTED["K3+K2"],
 }
-# The table of TestRamseyNumber.test_published_values.
+# The table of TestRamseyNumber.test_published_values, with r(K4-e, K4-e)
+# (Radziszowski, EJC DS1) and two tree values r(K_m, T) = (m - 1)(|T| - 1) + 1
+# (Chvátal, J. Graph Theory 1, 1977).
 PUBLISHED = [
     (K3, C4, 7), (K3, cycle_graph(5), 9), (K3, cycle_graph(6), 11),
     (K3, complete_graph(4), 9), (C4, C4, 6), (C4, complete_graph(4), 10),
+    (SB_PATTERNS["K4-e"], SB_PATTERNS["K4-e"], 10), (K3, star_graph(5), 11),
+    (complete_graph(4), star_graph(3), 10),
 ]
+
+
+def caps_off(n, H, G):
+    """`exact._degree_cap` with the rule switched off: n - 1 bounds no degree."""
+    return n - 1
 
 
 def red_rows_lex_ordered(col: TwoColoring) -> bool:
@@ -168,7 +177,10 @@ class TestReducedChecks:
     neighbor, so its placement starts from every vertex of K_n.  The
     disconnected red patterns are also checked against the unbroken search:
     a witness exactly when it finds one (n stops at 6, as for
-    TestSymmetryBreaking.test_matches_unbroken_search)."""
+    TestSymmetryBreaking.test_matches_unbroken_search).
+
+    The reference has no degree caps, so they are off here; TestDegreeCaps
+    compares the search with and without them."""
 
     CASES = [
         *(pytest.param(H, PINNED_PATTERNS, 7, False, id=h) for h, H in PINNED_PATTERNS.items()),
@@ -188,6 +200,7 @@ class TestReducedChecks:
 
         monkeypatch.setattr(exact, "_has_pinned_copy", counted("pinned", exact._has_pinned_copy))
         monkeypatch.setattr(exact, "_breaks_lex", counted("lex", exact._breaks_lex))
+        monkeypatch.setattr(exact, "_degree_cap", caps_off)
         found = []
         for G in blues.values():
             for n in range(1, max_n + 1):
@@ -231,6 +244,72 @@ class TestReducedChecks:
                     rows[u] &= ~(1 << v)
                     rows[v] &= ~(1 << u)
         assert outcomes == {False, True}
+
+
+class TestDegreeCaps:
+    """find_witness refuses an edge that gives a vertex more red neighbours
+    than r(H - x, G) - 1, or more blue ones than r(H, G - y) - 1, where x and
+    y are dominating vertices.  No witness has such a vertex, so the search
+    must find the same first witness as the search without the caps."""
+
+    @pytest.mark.parametrize("h", list(PINNED_PATTERNS))
+    def test_same_witness_as_without_caps(self, h, monkeypatch):
+        H = PINNED_PATTERNS[h]
+        binding = 0
+        for g, G in PINNED_PATTERNS.items():
+            for n in range(1, 8):
+                with monkeypatch.context() as m:
+                    m.setattr(exact, "_degree_cap", caps_off)
+                    want = find_witness(n, H, G)
+                witness = find_witness(n, H, G)
+                assert witness == want, (g, n)
+                red_cap, blue_cap = exact._degree_cap(n, H, G), exact._degree_cap(n, G, H)
+                binding += min(red_cap, blue_cap) < n - 1
+                if witness is not None:
+                    degrees = zip(witness.red_adjacency_bits(), witness.blue_adjacency_bits())
+                    for red, blue in degrees:
+                        assert red.bit_count() <= red_cap and blue.bit_count() <= blue_cap, (g, n)
+        # Every pattern meets a blue one with a dominating vertex, so some cap binds.
+        assert binding
+
+    def test_cap_values(self):
+        K4 = complete_graph(4)
+        # r(K2, K4) = 4 and r(K3, K3) = 6.
+        assert (exact._degree_cap(9, K3, K4), exact._degree_cap(9, K4, K3)) == (3, 5)
+        # K1,3 minus its centre is 3K1, and r(3K1, K3) = 3.
+        assert exact._degree_cap(7, star_graph(3), K3) == 2
+        # C4 has no dominating vertex; r(K3, K4) = 9 is above 7.
+        assert exact._degree_cap(8, C4, K3) == exact._degree_cap(8, K4, K4) == 7
+        assert exact._degree_cap(1, K3, K3) == 0
+
+    def test_caps_hold_in_every_witness_of_k5(self):
+        # Brute force over all 1024 colorings of K_5, independent of the DFS.
+        paw = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        patterns = [K3, path_graph(4), star_graph(3), C4, paw]
+        colorings = list(all_colorings(5))
+        for H, G in itertools.product(patterns, repeat=2):
+            red_cap, blue_cap = exact._degree_cap(5, H, G), exact._degree_cap(5, G, H)
+            for col in colorings:
+                if is_witness(col, H, G):
+                    assert max(r.bit_count() for r in col.red_adjacency_bits()) <= red_cap
+                    assert max(b.bit_count() for b in col.blue_adjacency_bits()) <= blue_cap
+
+    def test_k3_k4_level_9_makes_a_tenth_of_the_pinned_checks(self, monkeypatch):
+        calls = [0]
+        check = exact._has_pinned_copy
+
+        def counted(*args):
+            calls[0] += 1
+            return check(*args)
+
+        monkeypatch.setattr(exact, "_has_pinned_copy", counted)
+        K4 = complete_graph(4)
+        # The count with the caps on includes the searches of smaller pairs.
+        assert find_witness(9, K3, K4) is None
+        with_caps, calls[0] = calls[0], 0
+        monkeypatch.setattr(exact, "_degree_cap", caps_off)
+        assert find_witness(9, K3, K4) is None
+        assert 10 * with_caps <= calls[0]
 
 
 class TestRamseyNumber:
@@ -349,7 +428,9 @@ class TestChvatalHararyStart:
         search = exact.find_witness
 
         def recorded(n, *patterns):
-            seen.append(n)
+            # The degree caps search smaller pairs; only (H, G) counts here.
+            if patterns == (H, G):
+                seen.append(n)
             return search(n, *patterns)
 
         monkeypatch.setattr(exact, "find_witness", recorded)
