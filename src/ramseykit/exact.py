@@ -209,8 +209,7 @@ def _without_dominating_vertex(g: Graph) -> Graph | None:
 def _degree_cap(n: int, H: Graph, G: Graph) -> int:
     """The most red neighbours a vertex has in a witness coloring of K_n:
     r(H - x, G) - 1 for a dominating vertex x of H, or n - 1 when H has none
-    or r(H - x, G) > n - 1.  The red neighbourhood of v holds no red H - x,
-    which with x -> v would be a red H, and no blue G."""
+    or r(H - x, G) > n - 1 (see the module docstring)."""
     rest = _without_dominating_vertex(H)
     r = ramsey_number(rest, G, n - 1) if rest is not None and n >= 2 else None
     return n - 1 if r is None else r - 1

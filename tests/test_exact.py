@@ -124,11 +124,16 @@ class TestFindWitness:
         paw = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         patterns = [K3, path_graph(4), star_graph(3), cycle_graph(4), paw]
         for H, G in itertools.product(patterns, repeat=2):
-            exists = any(is_witness(col, H, G) for col in all_colorings(5))
+            witnesses = [col for col in all_colorings(5) if is_witness(col, H, G)]
             w = find_witness(5, H, G)
-            assert (w is not None) == exists
+            assert (w is not None) == bool(witnesses)
             if w is not None:
                 assert is_witness(w, H, G)
+            # The degree caps hold in every witness, found without the DFS.
+            red_cap, blue_cap = exact._degree_cap(5, H, G), exact._degree_cap(5, G, H)
+            for col in witnesses:
+                assert max(r.bit_count() for r in col.red_adjacency_bits()) <= red_cap
+                assert max(b.bit_count() for b in col.blue_adjacency_bits()) <= blue_cap
 
     def test_found_witness_is_valid(self):
         for H, G in [(K3, star_graph(3)), (K3, path_graph(4)), (complete_graph(4), K3)]:
@@ -281,18 +286,6 @@ class TestDegreeCaps:
         # C4 has no dominating vertex; r(K3, K4) = 9 is above 7.
         assert exact._degree_cap(8, C4, K3) == exact._degree_cap(8, K4, K4) == 7
         assert exact._degree_cap(1, K3, K3) == 0
-
-    def test_caps_hold_in_every_witness_of_k5(self):
-        # Brute force over all 1024 colorings of K_5, independent of the DFS.
-        paw = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        patterns = [K3, path_graph(4), star_graph(3), C4, paw]
-        colorings = list(all_colorings(5))
-        for H, G in itertools.product(patterns, repeat=2):
-            red_cap, blue_cap = exact._degree_cap(5, H, G), exact._degree_cap(5, G, H)
-            for col in colorings:
-                if is_witness(col, H, G):
-                    assert max(r.bit_count() for r in col.red_adjacency_bits()) <= red_cap
-                    assert max(b.bit_count() for b in col.blue_adjacency_bits()) <= blue_cap
 
     def test_k3_k4_level_9_makes_a_tenth_of_the_pinned_checks(self, monkeypatch):
         calls = [0]
