@@ -87,7 +87,6 @@ def cmd_construct(args) -> int:
     G = _load(args.G, parse_graph)
     params = ConstructParams(
         s=args.s,
-        m=G.edge_count,
         n_override=args.n,
         p_override=args.p,
         trials=args.trials,
@@ -109,11 +108,10 @@ def cmd_construct(args) -> int:
                 path.write_text(serialize_coloring(r.coloring), encoding="utf-8")
             record["coloring_file"] = path.name
         trial_records.append(record)
-    n = reports[0].coloring.n if reports else 0
     summary = {
         "s": args.s,
         "m": G.edge_count,
-        "n": n,
+        "n": reports[0].coloring.n,
         "trials": args.trials,
         "seed": args.seed,
         "any_blue_absent": any(r.blue_G_status == "absent" for r in reports),

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .detect import (
-    EXACT_PACKING_MAX_N,
     CliquePacking,
     _greedy_packing,
     check_node_budget,
@@ -40,11 +39,11 @@ CHERNOFF_MAX_M = 2**63 - 1
 class ConstructParams:
     """Knobs for the witness-search trials.
 
-    `m` is the edge budget the formulas are evaluated at, normally e(G).
+    Without `n_override`, the order is Theorem 1's at m = e(G) of the target
+    graph; without `p_override`, p is Theorem 1's at that order.
     """
 
     s: int
-    m: int
     n_override: int | None = None
     p_override: float | None = None
     trials: int = 1
@@ -130,15 +129,15 @@ def recolor_packing(col: TwoColoring, s: int) -> tuple[TwoColoring, CliquePackin
     if s < 3:
         raise InputError("s must be at least 3")
     rows = col.red_adjacency_bits()
-    members = tuple(_greedy_packing(rows, col.n, s))
+    members = tuple(_greedy_packing(rows, s))
     return TwoColoring._from_rows(rows), CliquePacking(s=s, members=members)
 
 
-def _resolve_n_p(params: ConstructParams) -> tuple[int, float]:
+def _resolve_n_p(params: ConstructParams, G: Graph) -> tuple[int, float]:
     if params.n_override is not None:
         n = params.n_override
     else:
-        n, _ = theorem1_parameters(params.s, params.m)
+        n, _ = theorem1_parameters(params.s, G.edge_count)
     if params.p_override is not None:
         p = params.p_override
     else:
@@ -183,7 +182,7 @@ def construct_witness(params: ConstructParams, G: Graph,
     """
     if G.n < 1:
         raise InputError("target graph must be nonempty")
-    n, p = _resolve_n_p(params)
+    n, p = _resolve_n_p(params, G)
     # Trial colorings are written to files that parse_coloring must read back.
     if n > MAX_PARSE_ORDER:
         raise CapacityError(f"order {n} above the cap of {MAX_PARSE_ORDER}")
@@ -233,12 +232,14 @@ def erdos_tetali_check(n: int, p: float, s: int, k: int, trials: int,
 
     Each sample decides X0 >= k with `packing_reaches`, which stops at the
     k-th edge-disjoint clique instead of computing X0.  Deciding is still an
-    exact search in the worst case, hence the n cap of exact packing.
+    exact search in the worst case, hence the n cap of exact packing, which
+    the first sample meets.
     """
-    if n > EXACT_PACKING_MAX_N:
-        raise CapacityError(f"exact packing oracle capped at n <= {EXACT_PACKING_MAX_N}")
     if n < 0:
         raise InputError("n must be non-negative")
+    # The first sample's coloring is drawn before exact packing's cap is met.
+    if n > MAX_PARSE_ORDER:
+        raise CapacityError(f"order {n} above the cap of {MAX_PARSE_ORDER}")
     if s < 3:
         raise InputError("s must be at least 3")
     if k < 1:

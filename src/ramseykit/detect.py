@@ -19,7 +19,6 @@ from .graphs import Graph, TwoColoring
 
 Color = Literal["red", "blue"]
 
-DEFAULT_NODE_BUDGET = 10**8
 EXACT_PACKING_MAX_N = 12
 
 
@@ -248,14 +247,14 @@ def _pattern_plan(G: Graph, head: tuple[int, ...] = ()) -> tuple[
 
 
 def find_copy(col: TwoColoring, color: Color, G: Graph,
-              node_budget: int | None = DEFAULT_NODE_BUDGET) -> EmbeddingMap | None:
+              node_budget: int | None = None) -> EmbeddingMap | None:
     """First monochromatic copy of G, as an injective vertex map, or None.
 
     Backtracking places pattern vertices in decreasing-degree order; a host
     candidate must have monochromatic degree at least the pattern degree and
     be adjacent (in the color) to every already-placed pattern neighbor.
-    Absence is exact unless the node budget runs out, which raises
-    SearchBudgetExceeded instead of returning None.
+    Absence is exact unless a node budget is given and runs out, which
+    raises SearchBudgetExceeded instead of returning None.
     """
     check_node_budget(node_budget)
     n = col.n
@@ -277,7 +276,7 @@ def find_copy(col: TwoColoring, color: Color, G: Graph,
 # Edge-disjoint red clique packing
 # ---------------------------------------------------------------------------
 
-def _greedy_packing(adj: list[int], n: int, s: int) -> Iterator[tuple[int, ...]]:
+def _greedy_packing(adj: list[int], s: int) -> Iterator[tuple[int, ...]]:
     """Maximal edge-disjoint packing, yielded member by member: each s-clique
     (s >= 2), in lexicographic order, joins the packing unless one of its
     pairs is already covered.
@@ -300,7 +299,7 @@ def _greedy_packing(adj: list[int], n: int, s: int) -> Iterator[tuple[int, ...]]
     prefix: list[int] = []
     # rests[d]: candidates for position d not yet tried, all above prefix[d - 1]
     # and adjacent in `live` to every vertex of the prefix.
-    rests = [(1 << n) - 1]
+    rests = [(1 << len(adj)) - 1]
     while True:
         rest = rests[-1]
         if not rest:
@@ -335,7 +334,9 @@ def _greedy_packing(adj: list[int], n: int, s: int) -> Iterator[tuple[int, ...]]
 def _exact_packing(col: TwoColoring, s: int,
                    target: int | None = None) -> list[tuple[int, ...]]:
     """Maximum-cardinality edge-disjoint packing of red s-cliques; with a
-    `target` k, k members when k fit and fewer otherwise.
+    `target` k, k members when k fit and fewer otherwise.  Every exact
+    packing passes through here, so this is where n <= EXACT_PACKING_MAX_N
+    is checked.
 
     Branch and bound over the cliques in lexicographic order, each included
     before it is excluded.  Exits come first: with a target, fewer than
@@ -351,6 +352,8 @@ def _exact_packing(col: TwoColoring, s: int,
     exclusion still to try is that of a chosen clique.
     """
     n = col.n
+    if n > EXACT_PACKING_MAX_N:
+        raise CapacityError(f"exact packing capped at n <= {EXACT_PACKING_MAX_N}")
     if target is not None and col.red_count // math.comb(s, 2) < target:
         return []
     adj = col.red_adjacency_bits()
@@ -358,7 +361,7 @@ def _exact_packing(col: TwoColoring, s: int,
     goal = cap if target is None else target
     if goal > cap:
         return []
-    best = list(itertools.islice(_greedy_packing(list(adj), n, s), goal))
+    best = list(itertools.islice(_greedy_packing(list(adj), s), goal))
     if len(best) == goal:
         return best
     cliques = list(_cliques(adj, (1 << n) - 1, s))
@@ -398,14 +401,12 @@ def max_edge_disjoint_packing(col: TwoColoring, s: int,
     """
     if s < 2:
         raise InputError("clique order must be at least 2")
-    if mode not in ("greedy", "exact"):
-        raise InputError(f"mode must be 'greedy' or 'exact', got {mode!r}")
-    if mode == "exact" and col.n > EXACT_PACKING_MAX_N:
-        raise CapacityError(f"exact packing capped at n <= {EXACT_PACKING_MAX_N}")
     if mode == "greedy":
-        members = _greedy_packing(col.red_adjacency_bits(), col.n, s)
-    else:
+        members = _greedy_packing(col.red_adjacency_bits(), s)
+    elif mode == "exact":
         members = _exact_packing(col, s)
+    else:
+        raise InputError(f"mode must be 'greedy' or 'exact', got {mode!r}")
     return CliquePacking(s=s, members=tuple(members))
 
 
@@ -419,8 +420,6 @@ def packing_reaches(col: TwoColoring, s: int, k: int) -> bool:
         raise InputError("clique order must be at least 2")
     if k < 1:
         raise InputError("k must be at least 1")
-    if col.n > EXACT_PACKING_MAX_N:
-        raise CapacityError(f"exact packing capped at n <= {EXACT_PACKING_MAX_N}")
     return len(_exact_packing(col, s, k)) == k
 
 

@@ -125,8 +125,8 @@ def greedy_with_extra_members(extra):
     """A stand-in for `detect._greedy_packing`: the real members, then
     `extra`, each member's pairs cleared from the given rows the way the
     real pass clears them."""
-    def greedy(adj, n, s):
-        yield from _greedy_packing(adj, n, s)
+    def greedy(adj, s):
+        yield from _greedy_packing(adj, s)
         for member in extra:
             yield member
             mask = 0

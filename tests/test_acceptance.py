@@ -85,7 +85,7 @@ def test_acceptance_4_deletion_method_invariant():
         for n in (10, 25, 40):
             for p in (0.05, 0.1, 0.2, 0.35, 0.5):
                 params = ConstructParams(
-                    s=s, m=3, n_override=n, p_override=p,
+                    s=s, n_override=n, p_override=p,
                     trials=trials_per_point, seed=100000 * s + 1000 * n + int(p * 100),
                 )
                 for r in construct_witness(params, k2):

@@ -429,6 +429,13 @@ class TestStatsInputErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_erdos_tetali_n_above_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, [
+            "stats", "erdos-tetali", "--n", "13", "--p", "0.5", "--s", "3",
+            "--k", "1", "--trials", "1", "--seed", "0",
+        ])
+        assert (code, out, err) == (2, "", "error: exact packing capped at n <= 12\n")
+
 
 class TestConstructAndEmbedInputErrors:
     @pytest.mark.parametrize("budget", ["0", "-1"])
@@ -473,6 +480,13 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_missing_input_file_exits_2(capsys, tmp_path, k3_file):
+    missing = str(tmp_path / "missing.g")
+    code, out, err = run(capsys, ["exact", "--H", missing, "--G", k3_file])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read file {missing}: ") and err.count("\n") == 1
 
 
 class TestParseCaps:

@@ -28,7 +28,13 @@ from ramseykit.construct import (
 )
 from ramseykit.detect import find_clique, find_copy
 from ramseykit.errors import CapacityError, ContractViolation, InputError
-from ramseykit.graphs import MAX_PARSE_ORDER, TwoColoring, coloring_from_red, complete_graph
+from ramseykit.graphs import (
+    MAX_PARSE_ORDER,
+    TwoColoring,
+    coloring_from_red,
+    complete_graph,
+    union_of_cliques,
+)
 
 
 def exact_binomial_lower_tail(m: int, p: float, a: float) -> float:
@@ -166,9 +172,10 @@ class TestRecolorPacking:
 
 
 class TestTrialContract:
-    """A faulty packing pass must break the trial's edge-flip accounting."""
+    """A faulty packing pass must break the trial's edge-flip accounting or
+    leave a red s-clique in the residual."""
 
-    PARAMS = ConstructParams(s=3, m=3, n_override=6, p_override=0.5, trials=1, seed=0)
+    PARAMS = ConstructParams(s=3, n_override=6, p_override=0.5, trials=1, seed=0)
 
     @pytest.fixture(autouse=True)
     def fixed_coloring(self, monkeypatch):
@@ -187,12 +194,17 @@ class TestTrialContract:
         with pytest.raises(ContractViolation, match="edge-flip accounting mismatch"):
             construct_witness(self.PARAMS, complete_graph(3))
 
+    def test_empty_packing_leaves_a_red_clique(self, monkeypatch):
+        monkeypatch.setattr(construct, "_greedy_packing", lambda adj, s: iter(()))
+        with pytest.raises(ContractViolation, match="residual red graph contains"):
+            construct_witness(self.PARAMS, complete_graph(3))
+
 
 class TestConstructWitness:
     def test_witness_found_on_k5(self):
         # Witnesses for r(K_3, K_3) > 5 exist (the 5-cycle coloring); with
         # p = 0.5 and 300 trials at this seed, at least one trial lands on one.
-        params = ConstructParams(s=3, m=3, n_override=5, p_override=0.5,
+        params = ConstructParams(s=3, n_override=5, p_override=0.5,
                                  trials=300, seed=0)
         reports = construct_witness(params, complete_graph(3))
         assert len(reports) == 300
@@ -204,13 +216,13 @@ class TestConstructWitness:
             assert flips == 3 * r.packing_size
 
     def test_absent_when_host_too_small(self):
-        params = ConstructParams(s=3, m=45, n_override=4, p_override=0.2,
+        params = ConstructParams(s=3, n_override=4, p_override=0.2,
                                  trials=3, seed=1)
         reports = construct_witness(params, complete_graph(10))
         assert all(r.blue_G_status == "absent" for r in reports)
 
     def test_deterministic_and_thread_independent(self):
-        params = ConstructParams(s=3, m=5, n_override=12, p_override=0.3,
+        params = ConstructParams(s=3, n_override=12, p_override=0.3,
                                  trials=12, seed=7)
         g = complete_graph(3)
         a = construct_witness(params, g, threads=1)
@@ -220,39 +232,42 @@ class TestConstructWitness:
 
     def test_p0_reduces_to_find_copy(self):
         g = complete_graph(4)
-        params = ConstructParams(s=3, m=6, n_override=6, p_override=0.0,
+        params = ConstructParams(s=3, n_override=6, p_override=0.0,
                                  trials=1, seed=0)
         report = construct_witness(params, g)[0]
         direct = find_copy(TwoColoring(6), "blue", g)
         assert (report.blue_G_status == "found") == (direct is not None)
 
     def test_derives_parameters_when_not_overridden(self):
-        params = ConstructParams(s=3, m=10**6, trials=1, seed=5)
-        report = construct_witness(params, complete_graph(3))[0]
-        assert report.coloring.n == 21
+        # Theorem 1's order at m = e(G) = 103,740.
+        params = ConstructParams(s=3, trials=1, seed=5)
+        report = construct_witness(params, union_of_cliques(10**5, 3))[0]
+        assert report.coloring.n == 5
 
     def test_rejects_empty_graph(self):
-        params = ConstructParams(s=3, m=10, n_override=5, p_override=0.5,
+        params = ConstructParams(s=3, n_override=5, p_override=0.5,
                                  trials=1, seed=0)
         with pytest.raises(InputError):
             construct_witness(params, complete_graph(0))
 
     def test_params_validation(self):
         with pytest.raises(InputError):
-            ConstructParams(s=2, m=10, trials=1, seed=0)
+            ConstructParams(s=2, trials=1, seed=0)
         with pytest.raises(InputError):
-            ConstructParams(s=3, m=10, trials=0, seed=0)
+            ConstructParams(s=3, trials=0, seed=0)
         with pytest.raises(InputError):
-            ConstructParams(s=3, m=10, p_override=1.5, trials=1, seed=0)
+            ConstructParams(s=3, p_override=1.5, trials=1, seed=0)
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_rejects_node_budget_below_1(self, budget):
         with pytest.raises(InputError):
-            ConstructParams(s=3, m=10, trials=1, seed=0, node_budget=budget)
+            ConstructParams(s=3, trials=1, seed=0, node_budget=budget)
 
-    def test_order_cap(self):
-        for params in (ConstructParams(s=3, m=10**12, trials=1, seed=0),
-                       ConstructParams(s=3, m=3, n_override=MAX_PARSE_ORDER + 1,
+    def test_order_cap(self, monkeypatch):
+        monkeypatch.setattr(construct, "theorem1_parameters",
+                            lambda s, m: (MAX_PARSE_ORDER + 1, 0.0))
+        for params in (ConstructParams(s=3, trials=1, seed=0),
+                       ConstructParams(s=3, n_override=MAX_PARSE_ORDER + 1,
                                        p_override=0.0, trials=1, seed=0)):
             with pytest.raises(CapacityError):
                 construct_witness(params, complete_graph(3))
@@ -291,6 +306,8 @@ class TestChernoff:
             chernoff_tail_check(10, 0.0, 1, 10, 0)
         with pytest.raises(InputError):
             chernoff_tail_check(10, 0.5, 0, 10, 0)
+        with pytest.raises(InputError):
+            chernoff_tail_check(10, 0.5, 1, 0, 0)
 
     @pytest.mark.parametrize("m, p, a, seed", [
         (10, math.nan, 1.0, 0),
@@ -337,13 +354,25 @@ class TestErdosTetali:
         sigma = math.sqrt(min(bound, 1.0) * (1 - min(bound, 1.0)) / trials)
         assert empirical <= min(bound, 1.0) + 3 * sigma
 
-    def test_cap(self):
-        with pytest.raises(CapacityError):
+    def test_cap(self, monkeypatch):
+        with pytest.raises(CapacityError, match="exact packing capped at n <= 12"):
             erdos_tetali_check(13, 0.5, 3, 1, 10, 0)
+
+        def unreachable(*args):
+            raise AssertionError("an order above the cap must be rejected before drawing")
+
+        monkeypatch.setattr(construct, "random_coloring", unreachable)
+        with pytest.raises(CapacityError, match=f"above the cap of {MAX_PARSE_ORDER}"):
+            erdos_tetali_check(10**9, 0.5, 3, 1, 10, 0)
 
     def test_rejects_negative_n(self):
         with pytest.raises(InputError):
             erdos_tetali_check(-3, 0.5, 3, 1, 10, 0)
+
+    @pytest.mark.parametrize("k, trials", [(0, 10), (1, 0)])
+    def test_rejects_k_or_trials_below_1(self, k, trials):
+        with pytest.raises(InputError):
+            erdos_tetali_check(6, 0.5, 3, k, trials, 0)
 
     # p = 1 runs at n = 9 and 8: the reference's maximum packing of K_n does
     # not finish in minutes for n >= 10 (s = 3).  All p = 1 samples are K_n.

@@ -12,6 +12,7 @@ from conftest import (
     reference_greedy_packing,
     reference_max_packing,
 )
+from ramseykit import detect
 from ramseykit.construct import recolor_packing
 from ramseykit.detect import (
     EmbeddingMap,
@@ -93,6 +94,10 @@ class TestFindCopy:
     def test_too_many_vertices(self):
         assert find_copy(TwoColoring(4), "blue", complete_graph(10)) is None
 
+    def test_rejects_unknown_color(self):
+        with pytest.raises(InputError, match="color must be"):
+            find_copy(TwoColoring(4), "green", complete_graph(2))
+
     def test_isolated_vertices_map_anywhere(self):
         g = graph_from_edges(3, [(0, 1)])  # vertex 2 isolated
         col = coloring_from_red(4, [(0, 1)])
@@ -135,6 +140,14 @@ class TestFindCopy:
         col = TwoColoring(8)
         with pytest.raises(SearchBudgetExceeded):
             find_copy(col, "blue", complete_graph(8), node_budget=2)
+
+    def test_unbudgeted_search_counts_nothing(self, monkeypatch):
+        def unreachable(budget):
+            raise AssertionError("a search without a budget built a node counter")
+
+        monkeypatch.setattr(detect, "_NodeCounter", unreachable)
+        assert find_copy(TwoColoring(8), "blue", complete_graph(8)) is not None
+        assert find_copy(RED_C5, "blue", complete_graph(3)) is None
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_budget_below_1_rejected(self, budget):
@@ -215,7 +228,7 @@ class TestPacking:
                     col.n, sorted(col.red), s)
 
     def test_exact_cap(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="exact packing capped at n <= 12"):
             max_edge_disjoint_packing(TwoColoring(13), 3, "exact")
 
     def test_invalid_inputs(self):

@@ -141,6 +141,8 @@ class TestEmbedGeneral:
         col = coloring_from_red(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         with pytest.raises(EmbedFailure):
             embed_general(col, complete_graph(5), 4)
+        with pytest.raises(EmbedFailure, match="more vertices than the host"):
+            embed_general(TwoColoring(8), complete_graph(9), 4)
 
     def test_failure_when_no_blue_clique(self):
         # K_6 minus a perfect red matching has blue clique number 3; a target
@@ -149,6 +151,9 @@ class TestEmbedGeneral:
         g = complete_graph(6)  # wants more vertices than blue cliques give
         with pytest.raises(EmbedFailure, match="blue"):
             embed_general(col, g, 4)
+        # P12 asks for a blue 5-clique, which one node cannot decide.
+        with pytest.raises(EmbedFailure, match="within budget"):
+            embed_general(TwoColoring(30), path_graph(12), 4, node_budget=1)
 
 
 class TestIteratedBlueCliques:

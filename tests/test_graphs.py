@@ -53,6 +53,8 @@ class TestTypes:
     def test_graph_rejects_out_of_range(self):
         with pytest.raises(InputError):
             Graph(3, frozenset({(0, 3)}))
+        with pytest.raises(InputError, match="non-negative"):
+            Graph(-1)
 
     def test_coloring_counts_sum(self):
         col = coloring_from_red(6, [(0, 1), (2, 5)])
@@ -61,6 +63,10 @@ class TestTypes:
     def test_coloring_rejects_bad_pair(self):
         with pytest.raises(InputError):
             coloring_from_red(4, [(0, 4)])
+        with pytest.raises(InputError, match="self-loop"):
+            TwoColoring(3, {(1, 1)})
+        with pytest.raises(InputError, match="non-negative"):
+            TwoColoring(-1)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
     def test_is_red_is_blue_agree_with_pair_set(self, n):
@@ -236,6 +242,8 @@ class TestGraphFormat:
         ("p 3 1\ne 1 2\ne 1 3\n", "unexpected line"),
         ("p 3 2\ne 1 2\n", "2 edges but 1"),
         ("p 3 1\nx 1 2\n", "expected 'e"),
+        ("p x 1\n", "not an integer"),
+        ("p -1 0\n", "non-negative"),
         ("", "empty input"),
     ])
     def test_parse_errors(self, text, fragment):
@@ -274,6 +282,7 @@ class TestColoringFormat:
         ("n 3\nr 1 4\n", "out of range"),
         ("n 3\nr 2 2\n", "self-loop"),
         ("n 3\nr 1 2\nr 2 1\n", "duplicate"),
+        ("n x\n", "not an integer"),
         ("", "empty input"),
     ])
     def test_parse_errors(self, text, fragment):
