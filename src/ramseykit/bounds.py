@@ -31,8 +31,11 @@ class BoundReport:
 
 
 def theorem3_exponent(H: Graph) -> Fraction:
-    """Exact exponent rho*/(1 + rho*) governing the general lower bound."""
+    """Exact exponent rho*/(1 + rho*) governing the general lower bound;
+    rho*(H) < 0 exactly when H has no edge, and such an H is rejected."""
     rho = rho_star(H)
+    if rho < 0:
+        raise InputError("the density-driven bound needs a graph with at least one edge")
     return rho / (1 + rho)
 
 
@@ -113,8 +116,8 @@ def evaluate_all(
             k ** (s - 1) / math.log(k) ** (s - 2),
         )
     if H is not None:
-        rho = rho_star(H)
-        expo = rho / (1 + rho)
+        expo = theorem3_exponent(H)
+        rho = expo / (1 - expo)
         add(
             "thm3_lower", "thm3", "lower",
             {"m": m, "rho_star": float(rho), "exponent": float(expo)},

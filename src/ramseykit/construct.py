@@ -18,11 +18,12 @@ from typing import Literal
 
 from .detect import (
     CliquePacking,
+    _exact_packing,
     _greedy_packing,
+    check_exact_packing_order,
     check_node_budget,
     find_clique,
     find_copy,
-    packing_reaches,
 )
 from .errors import CapacityError, ContractViolation, InputError, SearchBudgetExceeded
 from .graphs import MAX_PARSE_ORDER, Graph, TwoColoring
@@ -230,16 +231,13 @@ def erdos_tetali_check(n: int, p: float, s: int, k: int, trials: int,
     of edge-disjoint red s-cliques in a random coloring and mu = C(n,s) *
     p^C(s,2) is the expected clique count.
 
-    Each sample decides X0 >= k with `packing_reaches`, which stops at the
-    k-th edge-disjoint clique instead of computing X0.  Deciding is still an
-    exact search in the worst case, hence the n cap of exact packing, which
-    the first sample meets.
+    Each sample decides X0 >= k with `_exact_packing` at target k, which
+    stops at the k-th edge-disjoint clique instead of computing X0.  Deciding
+    is still an exact search in the worst case, so exact packing's order cap
+    is met after the argument checks and before the first sample is drawn.
     """
     if n < 0:
         raise InputError("n must be non-negative")
-    # The first sample's coloring is drawn before exact packing's cap is met.
-    if n > MAX_PARSE_ORDER:
-        raise CapacityError(f"order {n} above the cap of {MAX_PARSE_ORDER}")
     if s < 3:
         raise InputError("s must be at least 3")
     if k < 1:
@@ -248,11 +246,12 @@ def erdos_tetali_check(n: int, p: float, s: int, k: int, trials: int,
         raise InputError("p must lie in [0, 1]")
     if trials < 1:
         raise InputError("trials must be positive")
+    check_exact_packing_order(n)
     mu = math.comb(n, s) * p ** math.comb(s, 2)
     hits = 0
     for i in range(trials):
         col = random_coloring(n, p, trial_seed(seed, i))
-        if packing_reaches(col, s, k):
+        if len(_exact_packing(col, s, k)) == k:
             hits += 1
     bound = (math.e * mu / k) ** k
     return hits / trials, bound

@@ -71,6 +71,12 @@ def check_node_budget(node_budget: int | None) -> None:
         raise InputError(f"node budget must be at least 1, got {node_budget}")
 
 
+def check_exact_packing_order(n: int) -> None:
+    """Exact packing runs only on colorings of order n <= EXACT_PACKING_MAX_N."""
+    if n > EXACT_PACKING_MAX_N:
+        raise CapacityError(f"exact packing capped at n <= {EXACT_PACKING_MAX_N}")
+
+
 class _NodeCounter:
     __slots__ = ("count", "budget")
 
@@ -335,8 +341,8 @@ def _exact_packing(col: TwoColoring, s: int,
                    target: int | None = None) -> list[tuple[int, ...]]:
     """Maximum-cardinality edge-disjoint packing of red s-cliques; with a
     `target` k, k members when k fit and fewer otherwise.  Every exact
-    packing passes through here, so this is where n <= EXACT_PACKING_MAX_N
-    is checked.
+    packing passes through here, so this is where the order cap
+    (`check_exact_packing_order`) is met, before any other work.
 
     Branch and bound over the cliques in lexicographic order, each included
     before it is excluded.  Exits come first: with a target, fewer than
@@ -352,8 +358,7 @@ def _exact_packing(col: TwoColoring, s: int,
     exclusion still to try is that of a chosen clique.
     """
     n = col.n
-    if n > EXACT_PACKING_MAX_N:
-        raise CapacityError(f"exact packing capped at n <= {EXACT_PACKING_MAX_N}")
+    check_exact_packing_order(n)
     if target is not None and col.red_count // math.comb(s, 2) < target:
         return []
     adj = col.red_adjacency_bits()
@@ -396,7 +401,8 @@ def max_edge_disjoint_packing(col: TwoColoring, s: int,
 
     Greedy mode returns a maximal packing (no red s-clique is edge-disjoint
     from all members), which is what the recoloring step needs; exact mode
-    returns a maximum-cardinality packing and is capped at n <= 12 because
+    returns a maximum-cardinality packing from `_exact_packing`, which meets
+    the order cap (`check_exact_packing_order`, n <= 12) first because
     maximum packing is a hard search problem.
     """
     if s < 2:
@@ -408,19 +414,6 @@ def max_edge_disjoint_packing(col: TwoColoring, s: int,
     else:
         raise InputError(f"mode must be 'greedy' or 'exact', got {mode!r}")
     return CliquePacking(s=s, members=tuple(members))
-
-
-def packing_reaches(col: TwoColoring, s: int, k: int) -> bool:
-    """Whether some k red s-cliques of `col` are pairwise edge-disjoint.
-
-    Decides X0 >= k, X0 the maximum packing size, without computing X0: the
-    exact search with target k stops at the k-th member.
-    """
-    if s < 2:
-        raise InputError("clique order must be at least 2")
-    if k < 1:
-        raise InputError("k must be at least 1")
-    return len(_exact_packing(col, s, k)) == k
 
 
 def max_red_degree_vertex(col: TwoColoring) -> tuple[int, int]:

@@ -5,7 +5,7 @@ import pytest
 
 from ramseykit.bounds import evaluate_all, theorem3_exponent
 from ramseykit.errors import InputError
-from ramseykit.graphs import complete_graph, graph_from_edges
+from ramseykit.graphs import Graph, complete_graph, graph_from_edges
 
 
 def by_name(reports):
@@ -116,6 +116,15 @@ class TestEvaluateAll:
             evaluate_all(3, 100, pq=(0, 5))
         with pytest.raises(InputError):
             evaluate_all(3, 100, t=0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_thm3_rejects_edgeless_graph(self, n):
+        # rho* is -1/(n-2) < 0: at n = 3 the exponent would divide by zero,
+        # at n = 4 it would be -1.
+        with pytest.raises(InputError, match="at least one edge"):
+            theorem3_exponent(Graph(n))
+        with pytest.raises(InputError, match="at least one edge"):
+            evaluate_all(3, 10, H=Graph(n))
 
     def test_thm3_uses_rho_star_of_subgraph(self):
         # A sparse graph containing a triangle: rho* comes from the K_3 inside.

@@ -76,6 +76,14 @@ class TestBounds:
         names = {r["name"] for r in data}
         assert {"thm1_lower", "thm1_upper", "thm3_lower", "sqrt_t_upper"} <= names
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_edgeless_graph_exits_2(self, capsys, tmp_path, n):
+        graph = tmp_path / f"e{n}.g"
+        graph.write_text(f"p {n} 0\n")
+        code, out, err = run(capsys, ["bounds", "--s", "3", "--m", "10", "--graph", str(graph)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--m", "--k", "--t", "--s"])
     def test_integer_too_large_for_a_float_exits_2(self, capsys, flag):
         flags = {"--s": "3", "--m": "1000", flag: "1" + "0" * 400}
@@ -174,6 +182,16 @@ class TestEmbed:
         data = json.loads(out)
         jsonschema.validate(data, load_schema("embed.schema.json"))
         assert data["status"] == "failed" and "blue" in data["reason"]
+        # Vertex 0 of a 3-vertex host has one red neighbour to descend into.
+        col_file.write_text(serialize_coloring(coloring_from_red(3, [(0, 1)])))
+        g_file.write_text(serialize_graph(complete_graph(2)))
+        code, out, _ = run(capsys, [
+            "embed", "--coloring", str(col_file), "--G", str(g_file), "--s", "4",
+        ])
+        assert code == 1
+        data = json.loads(out)
+        assert data["status"] == "failed"
+        assert data["reason"].startswith("red-neighborhood descent failed: ")
 
 
 class TestPack:

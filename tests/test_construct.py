@@ -100,6 +100,10 @@ class TestRandomColoring:
         with pytest.raises(InputError):
             random_coloring(5, 1.5, 0)
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(InputError, match="order must be non-negative"):
+            random_coloring(-1, 0.5, 0)
+
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 63, 64, 65, 80])
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
     def test_matches_pair_list_draw(self, n, p):
@@ -139,6 +143,10 @@ class TestRecolorPacking:
         col = coloring_from_red(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         recolored, packing = recolor_packing(col, 3)
         assert recolored == col and packing.size == 0
+
+    def test_rejects_s_below_3(self):
+        with pytest.raises(InputError, match="s must be at least 3"):
+            recolor_packing(TwoColoring(4), 2)
 
     def test_accounting_and_ks_freeness_sweep(self):
         for seed in range(40):
@@ -257,6 +265,8 @@ class TestConstructWitness:
             ConstructParams(s=3, trials=0, seed=0)
         with pytest.raises(InputError):
             ConstructParams(s=3, p_override=1.5, trials=1, seed=0)
+        with pytest.raises(InputError, match="n must be positive"):
+            ConstructParams(s=3, n_override=0)
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_rejects_node_budget_below_1(self, budget):
@@ -355,15 +365,16 @@ class TestErdosTetali:
         assert empirical <= min(bound, 1.0) + 3 * sigma
 
     def test_cap(self, monkeypatch):
-        with pytest.raises(CapacityError, match="exact packing capped at n <= 12"):
-            erdos_tetali_check(13, 0.5, 3, 1, 10, 0)
-
         def unreachable(*args):
             raise AssertionError("an order above the cap must be rejected before drawing")
 
         monkeypatch.setattr(construct, "random_coloring", unreachable)
-        with pytest.raises(CapacityError, match=f"above the cap of {MAX_PARSE_ORDER}"):
-            erdos_tetali_check(10**9, 0.5, 3, 1, 10, 0)
+        for n in (13, 10_000, 10**9):
+            with pytest.raises(CapacityError, match="exact packing capped at n <= 12"):
+                erdos_tetali_check(n, 0.5, 3, 1, 10, 0)
+        # The argument checks come before the cap.
+        with pytest.raises(InputError, match="s must be at least 3"):
+            erdos_tetali_check(13, 0.5, 2, 1, 10, 0)
 
     def test_rejects_negative_n(self):
         with pytest.raises(InputError):

@@ -21,7 +21,6 @@ from ramseykit.detect import (
     find_copy,
     max_edge_disjoint_packing,
     max_red_degree_vertex,
-    packing_reaches,
 )
 from ramseykit.errors import CapacityError, InputError, SearchBudgetExceeded
 from ramseykit.graphs import (
@@ -289,8 +288,14 @@ class TestGreedyPacking:
             assert not naive_has_clique(residual, "red", s)
 
 
+def reaches_target(col, s, k):
+    """Whether exact packing at target k, as each Erdős–Tetali sample asks,
+    finds k members."""
+    return len(_exact_packing(col, s, k)) == k
+
+
 class TestPackingDecision:
-    """`packing_reaches(col, s, k)` decides X0 >= k, X0 the maximum packing size."""
+    """Exact packing at target k decides X0 >= k, X0 the maximum packing size."""
 
     def test_matches_naive_maximum_on_seeded_colorings(self):
         rng = random.Random(41)
@@ -299,7 +304,7 @@ class TestPackingDecision:
             for s in (3, 4):
                 x0 = naive_max_packing_size(col, s)
                 for k in range(1, 6):
-                    assert packing_reaches(col, s, k) == (x0 >= k), (col.red, s, k)
+                    assert reaches_target(col, s, k) == (x0 >= k), (col.red, s, k)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
@@ -311,7 +316,7 @@ class TestPackingDecision:
     def test_matches_naive_maximum(self, n, edge_bits, s, k):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         col = coloring_from_red(n, [p for i, p in enumerate(pairs) if (edge_bits >> i) & 1])
-        assert packing_reaches(col, s, k) == (naive_max_packing_size(col, s) >= k)
+        assert reaches_target(col, s, k) == (naive_max_packing_size(col, s) >= k)
 
     @pytest.mark.parametrize("n, red, s, k, want", [
         # Exactly k * C(s,2) red pairs: the edge-count exit must not fire.
@@ -326,7 +331,7 @@ class TestPackingDecision:
     def test_boundary_instances(self, n, red, s, k, want):
         col = coloring_from_red(n, red)
         assert (naive_max_packing_size(col, s) >= k) == want
-        assert packing_reaches(col, s, k) == want
+        assert reaches_target(col, s, k) == want
 
     # Schönheim maxima of triangle packings of K_n: 7, 8 and 12 for n = 7, 8
     # and 9.  At K_7 k=7, K_8 k=8 and K_9 k=12 the vertex bound
@@ -339,7 +344,7 @@ class TestPackingDecision:
     ])
     def test_all_red_vertex_bound(self, n, k, want):
         col = coloring_from_red(n, complete_graph(n).edges)
-        assert packing_reaches(col, 3, k) is want
+        assert reaches_target(col, 3, k) is want
 
     def test_target_search_stops_at_k(self):
         rng = random.Random(43)
@@ -353,12 +358,8 @@ class TestPackingDecision:
                 assert len(members) == k if k <= x0 else len(members) < k
 
     def test_invalid_inputs(self):
-        with pytest.raises(InputError):
-            packing_reaches(TwoColoring(4), 1, 1)
-        with pytest.raises(InputError):
-            packing_reaches(TwoColoring(4), 3, 0)
-        with pytest.raises(CapacityError):
-            packing_reaches(TwoColoring(13), 3, 1)
+        with pytest.raises(CapacityError, match="exact packing capped at n <= 12"):
+            _exact_packing(TwoColoring(13), 3, 1)
 
 
 class TestMaxRedDegree:

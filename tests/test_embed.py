@@ -143,6 +143,9 @@ class TestEmbedGeneral:
             embed_general(col, complete_graph(5), 4)
         with pytest.raises(EmbedFailure, match="more vertices than the host"):
             embed_general(TwoColoring(8), complete_graph(9), 4)
+        # Vertex 0's one red neighbour is too few to descend into.
+        with pytest.raises(EmbedFailure, match="red-neighborhood descent failed: "):
+            embed_general(coloring_from_red(3, [(0, 1)]), complete_graph(2), 4)
 
     def test_failure_when_no_blue_clique(self):
         # K_6 minus a perfect red matching has blue clique number 3; a target
@@ -182,6 +185,12 @@ class TestIteratedBlueCliques:
         col = coloring_from_red(4, complete_graph(3).edges)
         with pytest.raises(InputError):
             iterated_blue_cliques(col, 3, 2, 1)
+
+    def test_rejects_k_or_count_out_of_range(self):
+        with pytest.raises(InputError, match="k must be at least 1"):
+            iterated_blue_cliques(TwoColoring(5), 3, 0, 1)
+        with pytest.raises(InputError, match="count must be non-negative"):
+            iterated_blue_cliques(TwoColoring(5), 3, 1, -1)
 
     def test_composes_to_union_copy(self):
         g = union_of_cliques(3, 3)  # three disjoint K_2

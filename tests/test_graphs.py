@@ -12,6 +12,7 @@ from ramseykit.graphs import (
     TwoColoring,
     coloring_from_red,
     complete_graph,
+    cycle_graph,
     density,
     disjoint_union,
     graph_from_edges,
@@ -55,6 +56,8 @@ class TestTypes:
             Graph(3, frozenset({(0, 3)}))
         with pytest.raises(InputError, match="non-negative"):
             Graph(-1)
+        with pytest.raises(InputError, match="cycle needs at least 3 vertices"):
+            cycle_graph(2)
 
     def test_coloring_counts_sum(self):
         col = coloring_from_red(6, [(0, 1), (2, 5)])
@@ -106,6 +109,8 @@ class TestTypes:
         sub, mapping = induced_coloring(col, [1, 3, 4])
         assert mapping == (1, 3, 4)
         assert sub.red == frozenset({(0, 1)})
+        with pytest.raises(InputError, match="induced vertex set out of range"):
+            induced_coloring(TwoColoring(3), [3])
 
 
 class TestDensity:
