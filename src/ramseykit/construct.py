@@ -86,8 +86,12 @@ def theorem1_parameters(s: int, m: int) -> tuple[int, float]:
         raise InputError("edge budget m must exceed e (needs ln m > 1)")
     n_real = (m / math.log(m)) ** ((s + 1) / (s + 3)) / (3 * s**3)
     n = max(2, math.floor(n_real))
-    p = (1.0 / (3 * s)) * n ** (-2.0 / (s + 1))
-    return n, p
+    return n, _theorem1_p(s, n)
+
+
+def _theorem1_p(s: int, n: int) -> float:
+    """Theorem 1's red probability (1/(3s)) * n^(-2/(s+1)) at order n."""
+    return (1.0 / (3 * s)) * n ** (-2.0 / (s + 1))
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
@@ -134,18 +138,6 @@ def recolor_packing(col: TwoColoring, s: int) -> tuple[TwoColoring, CliquePackin
     return TwoColoring._from_rows(rows), CliquePacking(s=s, members=members)
 
 
-def _resolve_n_p(params: ConstructParams, G: Graph) -> tuple[int, float]:
-    if params.n_override is not None:
-        n = params.n_override
-    else:
-        n, _ = theorem1_parameters(params.s, G.edge_count)
-    if params.p_override is not None:
-        p = params.p_override
-    else:
-        p = (1.0 / (3 * params.s)) * n ** (-2.0 / (params.s + 1))
-    return n, p
-
-
 def run_trial(params: ConstructParams, G: Graph, n: int, p: float,
               trial_index: int) -> TrialReport:
     """One independent trial: color, recolor, verify."""
@@ -183,7 +175,11 @@ def construct_witness(params: ConstructParams, G: Graph,
     """
     if G.n < 1:
         raise InputError("target graph must be nonempty")
-    n, p = _resolve_n_p(params, G)
+    n, p = params.n_override, params.p_override
+    if n is None:
+        n, _ = theorem1_parameters(params.s, G.edge_count)
+    if p is None:
+        p = _theorem1_p(params.s, n)
     # Trial colorings are written to files that parse_coloring must read back.
     if n > MAX_PARSE_ORDER:
         raise CapacityError(f"order {n} above the cap of {MAX_PARSE_ORDER}")

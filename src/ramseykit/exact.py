@@ -61,6 +61,7 @@ blue one is checked against the red neighbours y of o only.
 from __future__ import annotations
 
 import itertools
+from typing import Callable
 
 from .bitset import iter_bits
 from .detect import _cliques, _pattern_plan, _place, find_copy
@@ -126,52 +127,50 @@ def _lower_bound(H: Graph, G: Graph) -> int:
     return max(ch(H, G), ch(G, H))
 
 
-class _Pattern:
-    """Static pattern data for pinned-edge containment checks in K_n."""
+def _arc_orbit_plans(g: Graph) -> list[tuple[tuple[int, ...], ...]]:
+    """One placement order per arc orbit of g, stored as `_place` wants it:
+    the earlier neighbors of each position.
 
-    __slots__ = ("clique_order", "pinned_nbrs", "masks")
-
-    def __init__(self, g: Graph, n: int):
-        self.clique_order = g.n if _is_complete(g) else 0
-        # Every position may go to any vertex of K_n.
-        self.masks = [(1 << n) - 1] * g.n
-        # One placement order per arc orbit, its representative the first arc
-        # (a, b) in sorted order: a, b, then the other vertices in the order of
-        # `_pattern_plan`; stored as `_place` wants it, the earlier neighbors
-        # of each position.  Arc (x, y) is in the orbit of a representative that places
-        # on the pattern itself with a -> x and b -> y, since an injective
-        # edge-preserving self-map of a finite graph is an automorphism.  A
-        # complete pattern is checked by `_cliques` and a pattern larger than
-        # K_n has no copy; neither is given arcs.
-        self.pinned_nbrs: list[tuple[tuple[int, ...], ...]] = []
-        if g.n > n or self.clique_order:
-            return
-        bits = g.adjacency_bits()
-        own = [(1 << g.n) - 1] * g.n
-        for a, b in sorted([*g.edges, *((b, a) for a, b in g.edges)]):
-            if any(_place(bits, own, nbrs, None, [a, b]) is not None
-                   for nbrs in self.pinned_nbrs):
-                continue
-            self.pinned_nbrs.append(_pattern_plan(g, (a, b))[2])
-
-
-def _has_pinned_copy(adj: list[int], pat: _Pattern, u: int, v: int) -> bool:
-    """Does the host graph contain a copy of the pattern using edge (u, v)?
-
-    A complete pattern K_t is a (t-2)-clique in the common neighborhood of u
-    and v: for K_3 one AND.  Any other pattern is placed from the prefix
-    a -> u, b -> v of each arc-orbit representative (a, b).
+    The representative of an orbit is its first arc (a, b) in sorted order,
+    and its order is a, b, then the other vertices in the order of
+    `_pattern_plan`.  Arc (x, y) is in the orbit of a representative that
+    places on the pattern itself with a -> x and b -> y, since an injective
+    edge-preserving self-map of a finite graph is an automorphism.
     """
-    t = pat.clique_order
-    if t:
-        common = adj[u] & adj[v]
-        if t == 3:
-            return common != 0
-        return next(_cliques(adj, common, t - 2), None) is not None
-    for nbrs in pat.pinned_nbrs:
-        if _place(adj, pat.masks, nbrs, None, [u, v]) is not None:
-            return True
-    return False
+    bits = g.adjacency_bits()
+    own = [(1 << g.n) - 1] * g.n
+    plans: list[tuple[tuple[int, ...], ...]] = []
+    for a, b in sorted([*g.edges, *((b, a) for a, b in g.edges)]):
+        if not any(_place(bits, own, nbrs, None, [a, b]) is not None for nbrs in plans):
+            plans.append(_pattern_plan(g, (a, b))[2])
+    return plans
+
+
+def _pinned_check(g: Graph, n: int) -> Callable[[list[int], int, int], bool]:
+    """The test (adj, u, v) -> does the host graph `adj` on K_n contain a copy
+    of g using its edge (u, v)?
+
+    K_3 is one AND of two rows, and any other complete pattern K_t a
+    (t-2)-clique in the common neighborhood of u and v.  Any other pattern is
+    placed from the prefix a -> u, b -> v of each arc-orbit representative
+    (a, b), where every position may go to any vertex of K_n; a pattern
+    larger than K_n has no copy and gets no plans.
+    """
+    if _is_complete(g):
+        if g.n == 3:
+            return lambda adj, u, v: adj[u] & adj[v] != 0
+        t = g.n - 2
+        return lambda adj, u, v: next(_cliques(adj, adj[u] & adj[v], t), None) is not None
+    masks = [(1 << n) - 1] * g.n
+    plans = _arc_orbit_plans(g) if g.n <= n else []
+
+    def has_copy(adj: list[int], u: int, v: int) -> bool:
+        for nbrs in plans:
+            if _place(adj, masks, nbrs, None, [u, v]) is not None:
+                return True
+        return False
+
+    return has_copy
 
 
 def _breaks_lex(red_adj: list[int], u: int, v: int) -> bool:
@@ -247,7 +246,7 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
 
     red_cap, blue_cap = _degree_cap(n, H, G), _degree_cap(n, G, H)
     edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pat_h, pat_g = _Pattern(H, n), _Pattern(G, n)
+    has_h, has_g = _pinned_check(H, n), _pinned_check(G, n)
     red_adj = [0] * n
     blue_adj = [0] * n
 
@@ -260,7 +259,7 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
         red_adj[u] |= bv
         red_adj[v] |= bu
         if (red_adj[u].bit_count() <= red_cap and red_adj[v].bit_count() <= red_cap
-                and not _has_pinned_copy(red_adj, pat_h, u, v)):
+                and not has_h(red_adj, u, v)):
             witness = dfs(i + 1)
             if witness is not None:
                 return witness
@@ -271,7 +270,7 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
         blue_adj[v] |= bu
         if (blue_adj[u].bit_count() <= blue_cap and blue_adj[v].bit_count() <= blue_cap
                 and not _breaks_lex(red_adj, u, v)
-                and not _has_pinned_copy(blue_adj, pat_g, u, v)):
+                and not has_g(blue_adj, u, v)):
             witness = dfs(i + 1)
             if witness is not None:
                 return witness

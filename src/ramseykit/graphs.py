@@ -1,16 +1,17 @@
 """Graph and coloring data model, densities, extremal builders, file formats.
 
 Graphs are simple and undirected with contiguous 0-based vertex ids; edges are
-stored as normalized pairs (u, v) with u < v.  A TwoColoring is a red/blue
-partition of all edges of K_n: its red adjacency bitmask rows are stored, the
-red pair set is derived from them on first use, and blue is the exact
-complement.  Densities are exact rationals so that comparisons feeding the
-exponent formulas never suffer float noise.
+stored as normalized pairs (u, v) with u < v, next to their adjacency bitmask
+rows, both built by the pair validator that a coloring also uses.  A
+TwoColoring is a red/blue partition of all edges of K_n: its red adjacency
+bitmask rows are stored, the red pair set is derived from them on first use,
+and blue is the exact complement.  Densities are exact rationals so that
+comparisons feeding the exponent formulas never suffer float noise.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -33,23 +34,37 @@ def _normalize_pair(u: int, v: int) -> Pair:
 # Core types
 # ---------------------------------------------------------------------------
 
+def _pairs_and_rows(n: int, pairs: Iterable[Pair]) -> tuple[frozenset[Pair], tuple[int, ...]]:
+    """The pairs as a frozenset of int pairs, and the adjacency rows they give
+    on K_n: bit v of row u is set iff {u, v} is a pair.  Rejects a negative
+    order, a self-loop and a pair that is not u < v within 0..n-1."""
+    if n < 0:
+        raise InputError("order must be non-negative")
+    pairs = frozenset((int(u), int(v)) for u, v in pairs)
+    rows = [0] * n
+    for u, v in pairs:
+        if u == v:
+            raise InputError(f"self-loop at vertex {u}")
+        if not (0 <= u < v < n):
+            raise InputError(f"pair ({u}, {v}) not normalized within 0..{n - 1}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return pairs, tuple(rows)
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices {0, ..., n-1}."""
+    """Simple undirected graph on vertices {0, ..., n-1}; its adjacency rows
+    are kept, but equality, hashing and repr use only (n, edges)."""
 
     n: int
     edges: frozenset[Pair] = frozenset()
+    _rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InputError("vertex count must be non-negative")
-        edges = frozenset((int(u), int(v)) for u, v in self.edges)
+        edges, rows = _pairs_and_rows(self.n, self.edges)
         object.__setattr__(self, "edges", edges)
-        for u, v in edges:
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise InputError(f"edge ({u}, {v}) not normalized within 0..{self.n - 1}")
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def edge_count(self) -> int:
@@ -59,18 +74,15 @@ class Graph:
         return _normalize_pair(u, v) in self.edges
 
     def degrees(self) -> list[int]:
-        return [row.bit_count() for row in self.adjacency_bits()]
+        return [row.bit_count() for row in self._rows]
 
     def adjacency_bits(self) -> list[int]:
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj
+        """Bitmask of each vertex's neighbours, as a fresh list."""
+        return list(self._rows)
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by least vertex."""
-        adj = self.adjacency_bits()
+        adj = self._rows
         seen = [False] * self.n
         comps = []
         for start in range(self.n):
@@ -147,19 +159,8 @@ class TwoColoring:
 
         A method of its own so that `perfbench/tracing.py` can time it by name.
         """
-        n = self.n
-        if n < 0:
-            raise InputError("order must be non-negative")
-        red = frozenset((int(u), int(v)) for u, v in self.red)
-        rows = [0] * n
-        for u, v in red:
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < n):
-                raise InputError(f"pair ({u}, {v}) not normalized within 0..{n - 1}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        self.__dict__.update(red=red, red_count=len(red), _rows=tuple(rows))
+        red, rows = _pairs_and_rows(self.n, self.red)
+        self.__dict__.update(red=red, red_count=len(red), _rows=rows)
 
     @classmethod
     def _from_rows(cls, rows: list[int]) -> TwoColoring:

@@ -192,6 +192,16 @@ class TestEmbed:
         data = json.loads(out)
         assert data["status"] == "failed"
         assert data["reason"].startswith("red-neighborhood descent failed: ")
+        # The same host has a blue P3, which the greedy placement misses.
+        g_file.write_text(serialize_graph(path_graph(3)))
+        code, out, _ = run(capsys, [
+            "embed", "--coloring", str(col_file), "--G", str(g_file), "--s", "4",
+        ])
+        assert code == 1
+        data = json.loads(out)
+        jsonschema.validate(data, load_schema("embed.schema.json"))
+        assert (data["status"], data["reason"]) == (
+            "failed", "greedy placement ran out of feasible host vertices")
 
 
 class TestPack:

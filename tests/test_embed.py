@@ -146,6 +146,9 @@ class TestEmbedGeneral:
         # Vertex 0's one red neighbour is too few to descend into.
         with pytest.raises(EmbedFailure, match="red-neighborhood descent failed: "):
             embed_general(coloring_from_red(3, [(0, 1)]), complete_graph(2), 4)
+        # Blue 0-2-1 is a P3, but the greedy placement runs out of hosts first.
+        with pytest.raises(EmbedFailure, match="greedy placement ran out of feasible host vertices"):
+            embed_general(coloring_from_red(3, [(0, 1)]), path_graph(3), 4)
 
     def test_failure_when_no_blue_clique(self):
         # K_6 minus a perfect red matching has blue clique number 3; a target

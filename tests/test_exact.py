@@ -19,6 +19,7 @@ from ramseykit.detect import find_copy
 from ramseykit.errors import CapacityError, InputError
 from ramseykit.exact import find_witness, is_witness, ramsey_number
 from ramseykit.graphs import (
+    Graph,
     TwoColoring,
     coloring_from_red,
     complete_graph,
@@ -48,6 +49,18 @@ DISCONNECTED = {
 }
 AGAINST_DISCONNECTED = {
     "K3": K3, "C4": C4, "2K2": DISCONNECTED["2K2"], "K3+K2": DISCONNECTED["K3+K2"],
+}
+# Patterns with an isolated vertex, and three without; every ordered pair of
+# them is searched.
+WITH_ISOLATED = {
+    "K2+K1": graph_from_edges(3, [(0, 1)]),
+    "P3+K1": graph_from_edges(4, [(0, 1), (1, 2)]),
+    "K3+K1": graph_from_edges(4, [(0, 1), (0, 2), (1, 2)]),
+    "K13+K1": graph_from_edges(5, [(0, 1), (0, 2), (0, 3)]),
+    "3K1": Graph(3),
+    "K2": complete_graph(2),
+    "K3": K3,
+    "2K2": DISCONNECTED["2K2"],
 }
 # The table of TestRamseyNumber.test_published_values, with r(K4-e, K4-e)
 # (Radziszowski, EJC DS1) and two tree values r(K_m, T) = (m - 1)(|T| - 1) + 1
@@ -203,7 +216,9 @@ class TestReducedChecks:
                 return check(*args)
             return wrapper
 
-        monkeypatch.setattr(exact, "_has_pinned_copy", counted("pinned", exact._has_pinned_copy))
+        pinned_check = exact._pinned_check
+        monkeypatch.setattr(exact, "_pinned_check",
+                            lambda g, n: counted("pinned", pinned_check(g, n)))
         monkeypatch.setattr(exact, "_breaks_lex", counted("lex", exact._breaks_lex))
         monkeypatch.setattr(exact, "_degree_cap", caps_off)
         found = []
@@ -289,13 +304,17 @@ class TestDegreeCaps:
 
     def test_k3_k4_level_9_makes_a_tenth_of_the_pinned_checks(self, monkeypatch):
         calls = [0]
-        check = exact._has_pinned_copy
+        pinned_check = exact._pinned_check
 
-        def counted(*args):
-            calls[0] += 1
-            return check(*args)
+        def counted(g, n):
+            check = pinned_check(g, n)
 
-        monkeypatch.setattr(exact, "_has_pinned_copy", counted)
+            def wrapper(*args):
+                calls[0] += 1
+                return check(*args)
+            return wrapper
+
+        monkeypatch.setattr(exact, "_pinned_check", counted)
         K4 = complete_graph(4)
         # The count with the caps on includes the searches of smaller pairs.
         assert find_witness(9, K3, K4) is None
@@ -407,6 +426,24 @@ class TestChvatalHararyStart:
         H = START_PATTERNS[h]
         for g, G in START_PATTERNS.items():
             assert ramsey_number(H, G, 8) == reference_ramsey_number(H, G, 8), (h, g)
+
+    def test_isolated_vertices_same_as_walk_from_1(self):
+        # No catalogue pattern has an isolated vertex.  These reach c(G) of a
+        # pattern with a one-vertex component in `_lower_bound`, the pinned
+        # placement of an isolated position, and the edgeless-pattern exits.
+        # Witnesses must also exist where the search without symmetry
+        # breaking, whose pinned check is brute force, finds one.
+        for h, H in WITH_ISOLATED.items():
+            for g, G in WITH_ISOLATED.items():
+                assert ramsey_number(H, G, 6) == reference_ramsey_number(H, G, 6), (h, g)
+                if "3K1" in (h, g):
+                    # Every coloring of K_3 holds 3K1, and K_2 with its edge in
+                    # the colour of 3K1 holds neither pattern.
+                    assert ramsey_number(H, G, 6) == 3, (h, g)
+                else:
+                    for n in range(1, 6):
+                        want = reference_find_witness(n, H, G) is None
+                        assert (find_witness(n, H, G) is None) == want, (h, g, n)
 
     def test_published_values_same_as_walk_from_1(self):
         for H, G, r in PUBLISHED:

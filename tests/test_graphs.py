@@ -103,6 +103,12 @@ class TestTypes:
     def test_components(self):
         g = graph_from_edges(6, [(0, 1), (1, 2), (4, 5)])
         assert g.components() == [[0, 1, 2], [3], [4, 5]]
+        # The rows are kept: a caller's copy of them does not reach the graph,
+        # and equal graphs hash equal.
+        g.adjacency_bits()[0] = 0b111110
+        assert g.adjacency_bits()[0] == 0b10 and g.components() == [[0, 1, 2], [3], [4, 5]]
+        assert g == graph_from_edges(6, [(4, 5), (2, 1), (0, 1)])
+        assert hash(g) == hash(graph_from_edges(6, [(4, 5), (2, 1), (0, 1)]))
 
     def test_induced_coloring(self):
         col = coloring_from_red(5, [(0, 1), (1, 3), (2, 4)])

@@ -138,9 +138,9 @@ class TestPlacementOracles:
             col = random_coloring_local(rng, rng.randint(4, 7), rng.uniform(0.3, 0.8))
             adj = col.red_adjacency_bits()
             for name, g in patterns.items():
-                pat = exact._Pattern(g, col.n)
+                has_copy = exact._pinned_check(g, col.n)
                 for u, v in sorted(col.red):
-                    got = exact._has_pinned_copy(adj, pat, u, v)
+                    got = has_copy(adj, u, v)
                     assert got == naive_has_pinned_copy(col, "red", g, u, v), (name, u, v)
 
     @pytest.mark.parametrize("name, count", [
@@ -155,7 +155,7 @@ class TestPlacementOracles:
         ]
         arcs = [*g.edges, *((b, a) for a, b in g.edges)]
         orbits = {frozenset((p[a], p[b]) for p in autos) for a, b in arcs}
-        assert len(exact._Pattern(g, g.n).pinned_nbrs) == len(orbits) == count
+        assert len(exact._arc_orbit_plans(g)) == len(orbits) == count
 
     def test_pattern_larger_than_host_has_no_arcs(self, monkeypatch):
         place = exact._place
@@ -169,7 +169,8 @@ class TestPlacementOracles:
         want = exact.find_witness(9, complete_graph(3), cycle_graph(10))
         monkeypatch.setattr(exact, "_place", small_hosts_only)
         big = cycle_graph(2000)
-        assert exact._Pattern(big, 9).pinned_nbrs == []
+        # No plan is built, and even K_9 itself holds no copy.
+        assert exact._pinned_check(big, 9)(complete_graph(9).adjacency_bits(), 0, 1) is False
         assert exact.find_witness(9, complete_graph(3), big) == want
         assert want is not None
 
@@ -183,7 +184,7 @@ class TestPlacementOracles:
         for name, g in patterns.items():
             if len(g.components()) > 1:
                 continue
-            for nbrs in [_pattern_plan(g)[2], *exact._Pattern(g, g.n).pinned_nbrs]:
+            for nbrs in [_pattern_plan(g)[2], *exact._arc_orbit_plans(g)]:
                 assert all(nbrs[1:]), (name, nbrs)
 
     def test_find_witness_does_not_call_find_copy(self, monkeypatch):
@@ -196,12 +197,12 @@ class TestPlacementOracles:
 
 
 def pinned_plans(g):
-    """The placement orders `_has_pinned_copy` starts at a pinned edge: one
-    per arc orbit, or for a complete pattern, which it checks with a clique
+    """The placement orders `_pinned_check` starts at a pinned edge: one per
+    arc orbit, or for a complete pattern, which it checks with a clique
     search instead, the one order 0, 1, ..., t-1."""
     if exact._is_complete(g):
         return [[list(range(i)) for i in range(g.n)]]
-    return exact._Pattern(g, g.n).pinned_nbrs
+    return exact._arc_orbit_plans(g)
 
 
 class TestPlacedPrefix:
@@ -240,9 +241,9 @@ class TestPlacedPrefix:
         for _ in range(40):
             col = random_coloring_local(rng, rng.randint(2, 7), rng.uniform(0.4, 0.9))
             adj = col.red_adjacency_bits()
-            pat = exact._Pattern(k3, col.n)
+            has_copy = exact._pinned_check(k3, col.n)
             for u, v in sorted(col.red):
-                got = exact._has_pinned_copy(adj, pat, u, v)
+                got = has_copy(adj, u, v)
                 assert got == naive_has_pinned_copy(col, "red", k3, u, v), (col.red, u, v)
                 outcomes.add(got)
         assert outcomes == {False, True}
