@@ -39,11 +39,11 @@ from .embed import embed_general
 from .errors import CapacityError, EmbedFailure, InputError
 from .exact import EDGE_CAP, FIRST_ORDER_OVER_CAP, ramsey_number
 from .graphs import (
+    clique_union_edges,
     parse_coloring,
     parse_graph,
     serialize_coloring,
-    serialize_graph,
-    union_of_cliques,
+    serialize_edges,
     union_of_cliques_params,
 )
 
@@ -165,8 +165,8 @@ def cmd_exact(args) -> int:
 
 def cmd_gen_union(args) -> int:
     k, count = union_of_cliques_params(args.m, args.s)
-    g = union_of_cliques(args.m, args.s)
-    text = serialize_graph(g)
+    n, edge_count = k * count, count * (k * (k - 1) // 2)
+    text = serialize_edges(n, edge_count, clique_union_edges(k, count))
     if args.out:
         with _writing(args.out):
             Path(args.out).write_text(text, encoding="utf-8")
@@ -175,8 +175,8 @@ def cmd_gen_union(args) -> int:
         "s": args.s,
         "k": k,
         "count": count,
-        "n": g.n,
-        "edges": g.edge_count,
+        "n": n,
+        "edges": edge_count,
         "graph": text,
     })
     return 0

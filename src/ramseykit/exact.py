@@ -41,11 +41,16 @@ The blue cap is the same with the colours and patterns swapped.  An edge
 that would push a degree past its cap is refused before the pinned and lex
 checks, so the DFS order is unchanged and no witness is lost.  `_degree_cap`
 gets r(H - x, G) from `ramsey_number` up to n - 1; each sub-pair has one
-vertex fewer and stays below the edge cap, so the recursion ends.
+vertex fewer and stays below the edge cap, so the recursion ends.  For a
+complete H it ends at r(K_2, G) = |V(G)|, which needs no search.
 
-ramsey_number does not search the orders below the Chvátal–Harary bound
+ramsey_number searches no order for two kinds of pair whose value a theorem
+fixes (`_closed_form`): r(K_2, G) = max(1, |V(G)|), and Chvátal's
+r(K_m, T) = (m - 1)(|T| - 1) + 1 for a tree T (J. Graph Theory 1, 1977).
+Otherwise it does not search the orders below the Chvátal–Harary bound
 (Chvátal and Harary, Pacific J. Math. 41, 1972): a fixed coloring settles
-them (`_lower_bound`), and the DFS starts at that bound.
+them (`_lower_bound`), and the DFS starts at that bound.  find_witness
+itself always searches, so it still proves the values the formulas give.
 
 The lex check is fitted to the row-major edge order (0,1), (0,2), ..., (1,2),
 ....  When (u, v) is fixed, rows 0..u-1 are complete and row u is fixed up to
@@ -230,8 +235,10 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
     witness, a vertex's red neighbourhood is a witness for (H - x, G), x a
     dominating vertex of H, so it has fewer than r(H - x, G) vertices, and
     likewise in blue; no refused subtree holds a witness.  The caps come
-    from searches of the smaller pairs up to order n - 1, run afresh on
-    each call.
+    from `ramsey_number` on the smaller pairs up to order n - 1, on each
+    call: a sub-pair with a closed form (`_closed_form`), such as the
+    (K_2, G) at the end of every clique's chain, is answered without
+    search, and any other is searched afresh.
     """
     if n < 1:
         raise InputError("order must be at least 1")
@@ -281,19 +288,45 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
     return dfs(0)
 
 
+def _is_tree(g: Graph) -> bool:
+    return g.edge_count == g.n - 1 and len(g.components()) == 1
+
+
+def _closed_form(H: Graph, G: Graph) -> int | None:
+    """r(H, G) by a theorem, or None when neither of these applies, in either
+    colour order:
+
+    - r(K_2, G) = max(1, |V(G)|): a witness has no red edge, and all-blue
+      K_n holds G exactly when |V(G)| <= n; no order below 1 is searched;
+    - r(K_m, T) = (m - 1)(|T| - 1) + 1 for m >= 2 and a tree T, connected
+      with |T| - 1 edges (Chvátal, J. Graph Theory 1, 1977).
+    """
+    for a, b in ((H, G), (G, H)):
+        if a.n == 2 and a.edge_count == 1:
+            return max(1, b.n)
+        if _is_complete(a) and _is_tree(b):
+            return (a.n - 1) * (b.n - 1) + 1
+    return None
+
+
 def ramsey_number(H: Graph, G: Graph, n_cap: int) -> int | None:
     """Smallest n with no witness coloring, or None if witnesses persist
     through n_cap (the value is then greater than n_cap).
 
-    A witness on K_{n+1} restricts to one on K_n, so the first witness-free
-    order is the Ramsey number.  Every order below the Chvátal–Harary bound
-    L (`_lower_bound`) has a witness, so the DFS starts at L, and none is
+    A value that `_closed_form` knows and that is below FIRST_ORDER_OVER_CAP
+    is returned without search.  Otherwise the orders are walked: a witness
+    on K_{n+1} restricts to one on K_n, so the first witness-free order is
+    the Ramsey number.  Every order below the Chvátal–Harary bound L
+    (`_lower_bound`) has a witness, so the DFS starts at L, and none is
     built or checked below it.  The start is at most FIRST_ORDER_OVER_CAP,
     so that an answer beyond the cap raises the same CapacityError as a walk
-    from 1 would.
+    from 1 would; a known value at or above it is walked for the same reason.
     """
     if n_cap < 1:
         raise InputError("n_cap must be at least 1")
+    known = _closed_form(H, G)
+    if known is not None and known < FIRST_ORDER_OVER_CAP:
+        return known if known <= n_cap else None
     for n in range(min(_lower_bound(H, G), FIRST_ORDER_OVER_CAP), n_cap + 1):
         if find_witness(n, H, G) is None:
             return n

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bitset import iter_bits
 from .errors import CapacityError, InputError, ParseError
@@ -280,6 +280,8 @@ def union_of_cliques_params(m: int, s: int) -> tuple[int, int]:
 
     k = m^(1/s) * (ln m)^((s-2)/s) rounded half-up and floored at 2; the count
     is then ceil(2m / (k(k-1))), which restores e(G) >= m after rounding.
+    Rejects k * count above MAX_PARSE_ORDER, before any edge is built, since
+    parse_graph must read the graph back.
     """
     if m < 3:
         raise InputError("edge budget m must be at least 3")
@@ -288,20 +290,24 @@ def union_of_cliques_params(m: int, s: int) -> tuple[int, int]:
     k_real = m ** (1.0 / s) * math.log(m) ** ((s - 2) / s)
     k = max(2, math.floor(k_real + 0.5))
     count = math.ceil(2 * m / (k * (k - 1)))
+    if k * count > MAX_PARSE_ORDER:
+        raise CapacityError(f"{count} copies of K_{k} exceed the cap of {MAX_PARSE_ORDER} vertices")
     return k, count
+
+
+def clique_union_edges(k: int, count: int) -> Iterator[Pair]:
+    """The edges of `count` vertex-disjoint copies of K_k, copy c on the
+    vertices c*k .. c*k + k - 1, in lexicographic order."""
+    for base in range(0, k * count, k):
+        for u in range(base, base + k - 1):
+            for v in range(u + 1, base + k):
+                yield u, v
 
 
 def union_of_cliques(m: int, s: int) -> Graph:
     """Vertex-disjoint copies of K_k with at least m edges in total."""
     k, count = union_of_cliques_params(m, s)
-    # Checked before any edge is built: parse_graph must read the graph back.
-    if k * count > MAX_PARSE_ORDER:
-        raise CapacityError(f"{count} copies of K_{k} exceed the cap of {MAX_PARSE_ORDER} vertices")
-    edges = []
-    for c in range(count):
-        base = c * k
-        edges.extend((base + u, base + v) for u in range(k) for v in range(u + 1, k))
-    return Graph(count * k, frozenset(edges))
+    return Graph(k * count, frozenset(clique_union_edges(k, count)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +378,16 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, frozenset(seen))
 
 
-def serialize_graph(g: Graph) -> str:
-    out = [f"p {g.n} {g.edge_count}"]
-    out.extend(f"e {u + 1} {v + 1}" for u, v in sorted(g.edges))
+def serialize_edges(n: int, edge_count: int, edges: Iterable[Pair]) -> str:
+    """The graph file of `edge_count` edges on n vertices, given as 0-based
+    pairs in lexicographic order."""
+    out = [f"p {n} {edge_count}"]
+    out.extend(f"e {u + 1} {v + 1}" for u, v in edges)
     return "\n".join(out) + "\n"
+
+
+def serialize_graph(g: Graph) -> str:
+    return serialize_edges(g.n, g.edge_count, sorted(g.edges))
 
 
 def parse_coloring(text: str) -> TwoColoring:

@@ -41,25 +41,29 @@ class TestEmbedS3:
         assert emb.validates(col, "blue")
         assert len(set(emb.assignment.values())) == 4
 
-    def test_target_rows_built_once_per_call(self, monkeypatch):
-        # The rows of G are built a fixed number of times per call, not once
-        # per component: 50 disjoint edges cost as many builds as one edge.
+    def test_whole_graph_passes_once_per_call(self, monkeypatch):
+        # Each pass over all of G or of the coloring runs a fixed number of
+        # times per call, not once per component, which would make the
+        # embedding quadratic: 50 disjoint edges cost as many passes as one.
         calls = []
-        adjacency_bits = Graph.adjacency_bits
+        passes = [(Graph, "adjacency_bits"), (Graph, "degrees"), (Graph, "components"),
+                  (TwoColoring, "red_adjacency_bits"), (TwoColoring, "blue_adjacency_bits")]
+        for cls, name in passes:
+            method = getattr(cls, name)
 
-        def counting(self):
-            calls.append(self)
-            return adjacency_bits(self)
+            def counting(self, method=method, name=name):
+                calls.append(name)
+                return method(self)
 
-        monkeypatch.setattr(Graph, "adjacency_bits", counting)
+            monkeypatch.setattr(cls, name, counting)
         counts = []
         for c in (1, 50):
             calls.clear()
             g = graph_from_edges(2 * c, [(2 * i, 2 * i + 1) for i in range(c)])
             col = TwoColoring(3 * c)
             assert embed_s3(col, g).validates(col, "blue")
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1] and {"adjacency_bits", "components"} <= set(counts[0])
 
     def test_rejects_red_triangle(self):
         col = coloring_from_red(6, [(0, 1), (0, 2), (1, 2)])

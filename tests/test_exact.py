@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from conftest import (
@@ -484,3 +485,102 @@ class TestChvatalHararyStart:
             if col.n <= 9:
                 assert naive_find_copy(col, "red", H) is None, (h, g)
                 assert naive_find_copy(col, "blue", G) is None, (h, g)
+
+
+def walked(H, G, n_cap):
+    """`reference_ramsey_number` with `_closed_form` off, so that the degree
+    caps' sub-pairs are searched too."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exact, "_closed_form", lambda H, G: None)
+        return reference_ramsey_number(H, G, n_cap)
+
+
+def trees(order):
+    """Every tree on `order` vertices, up to isomorphism (networkx)."""
+    return [graph_from_edges(order, t.edges()) for t in nx.nonisomorphic_trees(order)]
+
+
+# Pairs whose value Chvátal's formula gives: the two tree rows of PUBLISHED
+# and the three of the benchmark's table.
+TREE_PAIRS = {
+    "K3-K1_5": (K3, star_graph(5), 11), "K4-K1_3": (complete_graph(4), star_graph(3), 10),
+    "K3-K1_3": (K3, star_graph(3), 7), "K3-K1_4": (K3, star_graph(4), 9),
+    "K3-P5": (K3, path_graph(5), 9),
+}
+
+
+class TestClosedForm:
+    """ramsey_number answers r(K2, G) = max(1, |V(G)|) and Chvátal's
+    r(K_m, T) = (m - 1)(|T| - 1) + 1 without search when the value is below
+    FIRST_ORDER_OVER_CAP; each value must be the one the walk finds."""
+
+    def test_k2_against_every_catalogue_pattern(self):
+        K2 = complete_graph(2)
+        catalogue = {**GRAPHS_UP_TO_3_EDGES, **PINNED_PATTERNS, **START_PATTERNS,
+                     **DISCONNECTED, **WITH_ISOLATED, "K0": Graph(0)}
+        for g, G in catalogue.items():
+            want = max(1, G.n)
+            assert exact._closed_form(K2, G) == exact._closed_form(G, K2) == want, g
+            assert ramsey_number(K2, G, 8) == ramsey_number(G, K2, 8) == want, g
+            assert walked(K2, G, 8) == walked(G, K2, 8) == want, g
+
+    @pytest.mark.parametrize("m, max_order", [(2, 9), (3, 6), (4, 4)])
+    def test_cliques_against_trees(self, m, max_order):
+        # Every tree with r(K_m, T) <= 11, but for m = 2 only up to 9 vertices:
+        # the walk takes about 10 s on the 106 trees of order 10 and 2 min on
+        # the 235 of order 11.
+        K = complete_graph(m)
+        for order in range(1, max_order + 1):
+            want = (m - 1) * (order - 1) + 1
+            for T in trees(order):
+                assert exact._closed_form(K, T) == exact._closed_form(T, K) == want, T
+                assert ramsey_number(K, T, 11) == ramsey_number(T, K, 11) == want, T
+                assert walked(K, T, 11) == walked(T, K, 11) == want, T
+
+    def test_no_shortcut_off_trees(self, monkeypatch):
+        # Forests, a tree plus K1 and cycles are walked.  K3+K1 has |V| - 1
+        # edges but is not connected.
+        closed_form, results = exact._closed_form, {}
+
+        def recorded(H, G):
+            results[H, G] = closed_form(H, G)
+            return results[H, G]
+
+        monkeypatch.setattr(exact, "_closed_form", recorded)
+        others = {
+            "2K2": DISCONNECTED["2K2"], "P3+K2": DISCONNECTED["P3+K2"],
+            "3K2": GRAPHS_UP_TO_3_EDGES["3K2"], "K2+K1": WITH_ISOLATED["K2+K1"],
+            "P3+K1": WITH_ISOLATED["P3+K1"], "K13+K1": WITH_ISOLATED["K13+K1"],
+            "K3+K1": WITH_ISOLATED["K3+K1"],
+            "C4": C4, "C5": cycle_graph(5),
+        }
+        for K in (K3, complete_graph(4)):
+            for g, G in others.items():
+                for A, B in ((K, G), (G, K)):
+                    results.clear()
+                    assert ramsey_number(A, B, 8) == walked(A, B, 8), g
+                    assert results[A, B] is None, g
+
+    def test_value_above_cap(self):
+        K2 = complete_graph(2)
+        assert exact._closed_form(K3, star_graph(5)) == 11
+        assert ramsey_number(K3, star_graph(5), 10) is None
+        assert ramsey_number(star_graph(5), K3, 10) is None
+        assert ramsey_number(K2, path_graph(11), 10) is None
+        # Values from 12 up are walked, and the walk stops at K_12.
+        assert exact._closed_form(K2, path_graph(13)) == 13
+        assert exact._closed_form(K3, path_graph(7)) == 13
+        assert ramsey_number(K2, path_graph(13), 11) is None
+        for H, G in ((K2, path_graph(13)), (K3, path_graph(7))):
+            with pytest.raises(CapacityError, match="^K_12 has 66 edges"):
+                ramsey_number(H, G, 12)
+
+    @pytest.mark.parametrize("pair", list(TREE_PAIRS))
+    def test_dfs_still_proves_tree_values(self, pair):
+        # ramsey_number no longer searches these; find_witness must still
+        # settle both levels.
+        H, G, r = TREE_PAIRS[pair]
+        for A, B in ((H, G), (G, H)):
+            witness = find_witness(r - 1, A, B)
+            assert witness is not None and is_witness(witness, A, B)
+            assert find_witness(r, A, B) is None

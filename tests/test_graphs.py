@@ -10,6 +10,7 @@ from ramseykit.errors import CapacityError, InputError, ParseError
 from ramseykit.graphs import (
     Graph,
     TwoColoring,
+    clique_union_edges,
     coloring_from_red,
     complete_graph,
     cycle_graph,
@@ -22,6 +23,7 @@ from ramseykit.graphs import (
     path_graph,
     rho_star,
     serialize_coloring,
+    serialize_edges,
     serialize_graph,
     star_graph,
     union_of_cliques,
@@ -220,6 +222,20 @@ class TestUnionOfCliques:
     def test_rejects_small_m(self):
         with pytest.raises(InputError):
             union_of_cliques(2, 3)
+
+    def test_rejects_order_above_parse_cap(self):
+        # 17,110 vertices, refused before any edge is built.
+        with pytest.raises(CapacityError, match="cap of 10000"):
+            union_of_cliques_params(10**6, 4)
+
+    def test_edges_written_without_a_graph(self):
+        # What gen-union writes: the edges from (k, count), in file order.
+        for m, s in [(3, 3), (100, 3), (200, 4), (5000, 5)]:
+            k, count = union_of_cliques_params(m, s)
+            g = union_of_cliques(m, s)
+            edges = list(clique_union_edges(k, count))
+            assert edges == sorted(g.edges)
+            assert serialize_edges(g.n, g.edge_count, edges) == serialize_graph(g)
 
 
 class TestGraphFormat:
