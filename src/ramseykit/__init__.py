@@ -27,7 +27,7 @@ from .detect import (
     max_edge_disjoint_packing,
     max_red_degree_vertex,
 )
-from .embed import embed_general, embed_s3, iterated_blue_cliques
+from .embed import embed_general, embed_s3
 from .errors import (
     CapacityError,
     ContractViolation,
@@ -44,8 +44,6 @@ from .graphs import (
     complete_graph,
     coloring_from_red,
     cycle_graph,
-    density,
-    disjoint_union,
     graph_from_edges,
     induced_coloring,
     parse_coloring,
@@ -81,8 +79,6 @@ __all__ = [
     "complete_graph",
     "construct_witness",
     "cycle_graph",
-    "density",
-    "disjoint_union",
     "embed_general",
     "embed_s3",
     "erdos_tetali_check",
@@ -93,7 +89,6 @@ __all__ = [
     "graph_from_edges",
     "induced_coloring",
     "is_witness",
-    "iterated_blue_cliques",
     "max_edge_disjoint_packing",
     "max_red_degree_vertex",
     "parse_coloring",

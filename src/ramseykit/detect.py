@@ -22,12 +22,16 @@ Color = Literal["red", "blue"]
 EXACT_PACKING_MAX_N = 12
 
 
+def check_color(color: Color) -> None:
+    if color != "red" and color != "blue":
+        raise InputError(f"color must be 'red' or 'blue', got {color!r}")
+
+
 def color_adjacency_bits(col: TwoColoring, color: Color) -> list[int]:
     if color == "red":
         return col.red_adjacency_bits()
-    if color == "blue":
-        return col.blue_adjacency_bits()
-    raise InputError(f"color must be 'red' or 'blue', got {color!r}")
+    check_color(color)
+    return col.blue_adjacency_bits()
 
 
 @dataclass(frozen=True)
@@ -50,16 +54,16 @@ class EmbeddingMap:
     assignment: dict[int, int]
 
     def validates(self, col: TwoColoring, color: Color) -> bool:
-        """Revalidate from scratch: injectivity plus per-edge color check."""
-        images = list(self.assignment.values())
-        if len(self.assignment) != self.source.n or len(set(images)) != len(images):
+        """Revalidate from scratch: the keys are exactly the pattern's
+        vertices, the map is injective, and every edge has the color."""
+        n = self.source.n
+        images = set(self.assignment.values())
+        if self.assignment.keys() != set(range(n)) or len(images) != n:
             return False
         if any(not (0 <= w < col.n) for w in images):
             return False
         want_red = color == "red"
         for u, v in self.source.edges:
-            if u not in self.assignment or v not in self.assignment:
-                return False
             if col.is_red(self.assignment[u], self.assignment[v]) != want_red:
                 return False
         return True
@@ -213,6 +217,7 @@ def find_clique(col: TwoColoring, color: Color, s: int,
         raise InputError("clique order must be at least 1")
     check_node_budget(node_budget)
     if s > col.n:
+        check_color(color)
         return None
     adj = color_adjacency_bits(col, color)
     counter = None if node_budget is None else _NodeCounter(node_budget)
@@ -265,6 +270,7 @@ def find_copy(col: TwoColoring, color: Color, G: Graph,
     check_node_budget(node_budget)
     n = col.n
     if G.n > n:
+        check_color(color)
         return None
     adj = color_adjacency_bits(col, color)
     order, degs, placed_nbrs = _pattern_plan(G)

@@ -172,32 +172,3 @@ def embed_general(col: TwoColoring, G: Graph, s: int,
                   EmbedFailure)
     return _revalidated(col, G, assignment)
 
-
-def iterated_blue_cliques(col: TwoColoring, s: int, k: int, count: int,
-                          node_budget: int | None = None) -> list[tuple[int, ...]]:
-    """Repeatedly extract a blue k-clique and delete its vertices.
-
-    Stops after `count` cliques or at the first failed extraction, returning
-    whatever was found so far (possibly fewer than `count` sets).
-    """
-    if k < 1:
-        raise InputError("k must be at least 1")
-    if count < 0:
-        raise InputError("count must be non-negative")
-    if find_clique(col, "red", s) is not None:
-        raise InputError(f"coloring contains a red clique of order {s}")
-    active = list(range(col.n))
-    found: list[tuple[int, ...]] = []
-    for _ in range(count):
-        sub, mapping = induced_coloring(col, active)
-        try:
-            clique = find_clique(sub, "blue", k, node_budget)
-        except SearchBudgetExceeded:
-            break
-        if clique is None:
-            break
-        original = tuple(sorted(mapping[v] for v in clique))
-        found.append(original)
-        taken = set(original)
-        active = [v for v in active if v not in taken]
-    return found

@@ -4,9 +4,10 @@ Graphs are simple and undirected with contiguous 0-based vertex ids; edges are
 stored as normalized pairs (u, v) with u < v, next to their adjacency bitmask
 rows, both built by the pair validator that a coloring also uses.  A
 TwoColoring is a red/blue partition of all edges of K_n: its red adjacency
-bitmask rows are stored, the red pair set is derived from them on first use,
-and blue is the exact complement.  Densities are exact rationals so that
-comparisons feeding the exponent formulas never suffer float noise.
+bitmask rows are stored and blue is the exact complement.  The red pair set
+is derived from the rows only for callers outside the package.  Densities are
+exact rationals so that comparisons feeding the exponent formulas never suffer
+float noise.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .bitset import iter_bits
 from .errors import CapacityError, InputError, ParseError
@@ -70,9 +71,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_pair(u, v) in self.edges
-
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self._rows]
 
@@ -125,25 +123,17 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, frozenset((0, i) for i in range(1, leaves + 1)))
 
 
-def disjoint_union(graphs: Sequence[Graph]) -> Graph:
-    n = 0
-    edges: list[Pair] = []
-    for g in graphs:
-        edges.extend((u + n, v + n) for u, v in g.edges)
-        n += g.n
-    return Graph(n, frozenset(edges))
-
-
 @dataclass(frozen=True, init=False)
 class TwoColoring:
     """Red/blue coloring of the edges of K_n.
 
     The red adjacency rows are the canonical state: bit v of row u is set iff
     the pair {u, v} is red, and blue is the complement.  The constructor
-    validates a pair set and builds the rows from it; `random_coloring` and
-    `recolor_packing` build rows directly (`_from_rows`) and hold no pair set.
-    `red`, the set of red pairs (u, v) with u < v, is then derived from the
-    rows on first use and kept.
+    validates a pair set and builds the rows from it; `random_coloring`,
+    `recolor_packing` and `induced_coloring` build rows directly (`_from_rows`)
+    and hold no pair set.  `red`, the set of red pairs (u, v) with u < v, is
+    then derived from the rows on first use and kept.  It is derived only for
+    callers outside the package: no module of the package reads it.
     """
 
     n: int
@@ -186,21 +176,9 @@ class TwoColoring:
             (u, v) for u, row in enumerate(self._rows) for v in iter_bits(row & (-1 << (u + 1)))
         )
 
-    @property
-    def total_pairs(self) -> int:
-        return self.n * (self.n - 1) // 2
-
-    @property
-    def blue_count(self) -> int:
-        return self.total_pairs - self.red_count
-
     def is_red(self, u: int, v: int) -> bool:
         # Both ids are range-checked: a negative index would read another row.
         return 0 <= u < self.n and 0 <= v < self.n and self._rows[u] >> v & 1 == 1
-
-    def is_blue(self, u: int, v: int) -> bool:
-        # A pair outside K_n has neither color.
-        return 0 <= u < self.n and 0 <= v < self.n and u != v and self._rows[u] >> v & 1 == 0
 
     def red_adjacency_bits(self) -> list[int]:
         """Bitmask of each vertex's red neighbours, as a fresh list."""
@@ -225,26 +203,18 @@ def induced_coloring(col: TwoColoring, vertices: Iterable[int]) -> tuple[TwoColo
     vs = tuple(sorted(set(vertices)))
     if vs and not (0 <= vs[0] and vs[-1] < col.n):
         raise InputError("induced vertex set out of range")
-    index = {v: i for i, v in enumerate(vs)}
-    red = frozenset(
-        (index[u], index[v]) for u, v in col.red if u in index and v in index
-    )
-    return TwoColoring(len(vs), red), vs
+    rows = col._rows
+    return TwoColoring._from_rows(
+        [sum(1 << i for i, w in enumerate(vs) if rows[v] >> w & 1) for v in vs]), vs
 
 
 # ---------------------------------------------------------------------------
 # Densities
 # ---------------------------------------------------------------------------
 
-def density(H: Graph) -> Fraction:
-    """Edge density (e_H - 1)/(v_H - 2), exact; defined for v_H >= 3."""
-    if H.n < 3:
-        raise InputError("density is undefined below 3 vertices")
-    return Fraction(H.edge_count - 1, H.n - 2)
-
-
 def rho_star(H: Graph) -> Fraction:
-    """Maximum of density over all subgraphs of H, exact.
+    """Maximum of (e - 1)/(v - 2) over the subgraphs of H with e edges on
+    v >= 3 vertices, exact.
 
     For a fixed vertex subset the densest subgraph on it is the induced one,
     so it suffices to maximize over induced subgraphs on >= 3 vertices.  The

@@ -115,7 +115,8 @@ class TestRandomColoring:
             rebuilt = TwoColoring(n, frozenset(ref))
             assert col == rebuilt and hash(col) == hash(rebuilt)
             assert col.red_count == len(ref)
-            assert col.blue_count == n * (n - 1) // 2 - len(ref)
+            blue_ends = sum(row.bit_count() for row in col.blue_adjacency_bits())
+            assert blue_ends == n * (n - 1) - 2 * len(ref)
             rows = [0] * n
             for u, v in ref:
                 rows[u] |= 1 << v

@@ -96,6 +96,12 @@ class TestFindCopy:
     def test_rejects_unknown_color(self):
         with pytest.raises(InputError, match="color must be"):
             find_copy(TwoColoring(4), "green", complete_graph(2))
+        # A pattern larger than the host is no reason to accept the color.
+        with pytest.raises(InputError, match="color must be"):
+            find_copy(TwoColoring(4), "green", complete_graph(5))
+        for order in (2, 5):
+            with pytest.raises(InputError, match="color must be"):
+                find_clique(TwoColoring(3), "green", order)
 
     def test_isolated_vertices_map_anywhere(self):
         g = graph_from_edges(3, [(0, 1)])  # vertex 2 isolated
@@ -394,3 +400,7 @@ class TestEmbeddingMap:
     def test_rejects_incomplete(self):
         emb = EmbeddingMap(path_graph(3), {0: 0, 1: 1})
         assert not emb.validates(TwoColoring(4), "blue")
+        # K2+K1 with three keys: the edge {0, 1} is blue, but vertex 2 is unmapped.
+        k2_k1 = graph_from_edges(3, [(0, 1)])
+        assert EmbeddingMap(k2_k1, {0: 0, 1: 1, 2: 2}).validates(TwoColoring(4), "blue")
+        assert not EmbeddingMap(k2_k1, {0: 0, 1: 1, 7: 2}).validates(TwoColoring(4), "blue")

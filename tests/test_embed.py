@@ -5,7 +5,7 @@ import pytest
 from conftest import random_bipartite_red_coloring, random_connected_graph
 from ramseykit import embed
 from ramseykit.detect import find_copy
-from ramseykit.embed import embed_general, embed_s3, iterated_blue_cliques
+from ramseykit.embed import embed_general, embed_s3
 from ramseykit.errors import EmbedFailure, InputError
 from ramseykit.graphs import (
     Graph,
@@ -14,9 +14,7 @@ from ramseykit.graphs import (
     complete_graph,
     graph_from_edges,
     path_graph,
-    union_of_cliques,
 )
-from ramseykit.detect import EmbeddingMap
 
 
 class TestEmbedS3:
@@ -165,47 +163,3 @@ class TestEmbedGeneral:
         with pytest.raises(EmbedFailure, match="within budget"):
             embed_general(TwoColoring(30), path_graph(12), 4, node_budget=1)
 
-
-class TestIteratedBlueCliques:
-    def test_all_blue_k9(self):
-        sets = iterated_blue_cliques(TwoColoring(9), 3, 3, 3)
-        assert sets == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
-
-    def test_red_matching_k8(self):
-        col = coloring_from_red(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-        sets = iterated_blue_cliques(col, 3, 2, 4)
-        assert len(sets) == 4
-        seen = set()
-        for a, b in sets:
-            assert col.is_blue(a, b)
-            assert not {a, b} & seen
-            seen |= {a, b}
-
-    def test_count_zero(self):
-        assert iterated_blue_cliques(TwoColoring(5), 3, 2, 0) == []
-
-    def test_partial_progress(self):
-        sets = iterated_blue_cliques(TwoColoring(7), 3, 3, 5)
-        assert len(sets) == 2  # only 7 vertices: two disjoint triples fit
-
-    def test_rejects_red_ks(self):
-        col = coloring_from_red(4, complete_graph(3).edges)
-        with pytest.raises(InputError):
-            iterated_blue_cliques(col, 3, 2, 1)
-
-    def test_rejects_k_or_count_out_of_range(self):
-        with pytest.raises(InputError, match="k must be at least 1"):
-            iterated_blue_cliques(TwoColoring(5), 3, 0, 1)
-        with pytest.raises(InputError, match="count must be non-negative"):
-            iterated_blue_cliques(TwoColoring(5), 3, 1, -1)
-
-    def test_composes_to_union_copy(self):
-        g = union_of_cliques(3, 3)  # three disjoint K_2
-        col = coloring_from_red(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-        sets = iterated_blue_cliques(col, 3, 2, 3)
-        assignment = {}
-        for i, members in enumerate(sets):
-            for j, host in enumerate(members):
-                assignment[2 * i + j] = host
-        emb = EmbeddingMap(g, assignment)
-        assert emb.validates(col, "blue")
