@@ -56,6 +56,7 @@ class EmbeddingMap:
     def validates(self, col: TwoColoring, color: Color) -> bool:
         """Revalidate from scratch: the keys are exactly the pattern's
         vertices, the map is injective, and every edge has the color."""
+        check_color(color)
         n = self.source.n
         images = set(self.assignment.values())
         if self.assignment.keys() != set(range(n)) or len(images) != n:

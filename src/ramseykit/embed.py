@@ -142,8 +142,12 @@ def embed_general(col: TwoColoring, G: Graph, s: int,
 
     m = G.edge_count
     logm = math.log(m)
-    denom = logm ** ((s - 4) / 2)
-    d = math.inf if denom == 0.0 else m ** ((s - 2) / 2) / denom
+    try:
+        d = m ** ((s - 2) / 2) / logm ** ((s - 4) / 2)
+    except (OverflowError, ZeroDivisionError):
+        # d is compared with a red degree below col.n, so past the float
+        # range (or at m = 1, where ln m = 0) there is no descent.
+        d = math.inf
 
     vstar, dmax = max_red_degree_vertex(col)
     if dmax >= d:

@@ -44,13 +44,14 @@ gets r(H - x, G) from `ramsey_number` up to n - 1; each sub-pair has one
 vertex fewer and stays below the edge cap, so the recursion ends.  For a
 complete H it ends at r(K_2, G) = |V(G)|, which needs no search.
 
-ramsey_number searches no order for two kinds of pair whose value a theorem
-fixes (`_closed_form`): r(K_2, G) = max(1, |V(G)|), and Chvátal's
-r(K_m, T) = (m - 1)(|T| - 1) + 1 for a tree T (J. Graph Theory 1, 1977).
-Otherwise it does not search the orders below the Chvátal–Harary bound
-(Chvátal and Harary, Pacific J. Math. 41, 1972): a fixed coloring settles
-them (`_lower_bound`), and the DFS starts at that bound.  find_witness
-itself always searches, so it still proves the values the formulas give.
+ramsey_number does not search the orders below L = `_lower_bound(H, G)`:
+every one of them has a witness, the larger of a Chvátal–Harary colouring
+(Chvátal and Harary, Pacific J. Math. 41, 1972) and a one-colour colouring,
+and the DFS starts at L.  It searches no order at all when a theorem makes L
+the value: a pattern without an edge, r(K_2, G) = max(1, |V(G)|), and
+Chvátal's r(K_m, T) = (m - 1)(|T| - 1) + 1 for a tree T (J. Graph Theory 1,
+1977), which is the Chvátal–Harary bound itself.  find_witness always
+searches, so it still proves the values the formulas give.
 
 The lex check is fitted to the row-major edge order (0,1), (0,2), ..., (1,2),
 ....  When (u, v) is fixed, rows 0..u-1 are complete and row u is fixed up to
@@ -111,25 +112,36 @@ def _chromatic_floor(g: Graph) -> int:
     return 2
 
 
-def _lower_bound(H: Graph, G: Graph) -> int:
-    """max(CH(H, G), CH(G, H)), where CH(H, G) = (chi'(H) - 1)(c(G) - 1) + 1,
-    chi' is `_chromatic_floor` and c(G) the order of G's largest component;
-    CH is 1 when either pattern has no edge.
+def _lower_bound(H: Graph, G: Graph) -> tuple[int, bool]:
+    """(L, exact): every order below L has a witness, and exact says that L
+    is r(H, G).  L - 1 is the largest order one of these colourings reaches:
 
-    Every order below the bound has a witness.  On K_{CH(H, G) - 1}, take
-    chi'(H) - 1 blue cliques of order c(G) - 1 with every edge between them
-    red.  The red graph is (chi'(H) - 1)-partite, so it has no red H, whose
-    chromatic number is at least chi'(H).  Every blue component has fewer
-    than c(G) vertices, so there is no blue G.  Swapping the colours gives
-    CH(G, H), and a witness on K_n restricts to one on every smaller K_n.
+    - all blue on |V(G)| - 1 vertices, which has no blue G, and no red H when
+      H has an edge or does not fit (|V(H)| >= |V(G)|); all red on |V(H)| - 1
+      vertices, likewise with the colours and patterns swapped;
+    - when both patterns have an edge, CH(H, G) - 1 = (chi'(H) - 1)(c(G) - 1)
+      vertices, chi' being `_chromatic_floor` and c(G) the order of G's
+      largest component: chi'(H) - 1 blue cliques of order c(G) - 1 with every
+      edge between them red.  The red graph is (chi'(H) - 1)-partite, so it
+      has no red H, and every blue component is smaller than c(G), so there
+      is no blue G.  CH(G, H) swaps the colours.
+
+    A witness on K_n restricts to one on every smaller K_n.  L is r(H, G)
+    when a pattern has no edge (an edgeless pattern that fits is in every
+    colouring), when a pattern is K_2 (a witness is all one colour), and for
+    K_m against a tree T, where CH(K_m, T) is Chvátal's value.
     """
-    if H.edge_count == 0 or G.edge_count == 0:
-        return 1
-
-    def ch(h: Graph, g: Graph) -> int:
-        return (_chromatic_floor(h) - 1) * (max(map(len, g.components())) - 1) + 1
-
-    return max(ch(H, G), ch(G, H))
+    orders, exact = [0], False
+    for h, g in ((H, G), (G, H)):
+        if h.edge_count or h.n >= g.n:
+            orders.append(g.n - 1)
+        if h.edge_count == 0:
+            exact = True
+        elif g.edge_count:
+            c = max(map(len, g.components()))
+            orders.append((_chromatic_floor(h) - 1) * (c - 1))
+            exact |= _is_complete(h) and (h.n == 2 or c == g.n == g.edge_count + 1)
+    return 1 + max(orders), exact
 
 
 def _arc_orbit_plans(g: Graph) -> list[tuple[tuple[int, ...], ...]]:
@@ -236,9 +248,9 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
     dominating vertex of H, so it has fewer than r(H - x, G) vertices, and
     likewise in blue; no refused subtree holds a witness.  The caps come
     from `ramsey_number` on the smaller pairs up to order n - 1, on each
-    call: a sub-pair with a closed form (`_closed_form`), such as the
-    (K_2, G) at the end of every clique's chain, is answered without
-    search, and any other is searched afresh.
+    call: a sub-pair whose value `_lower_bound` knows, such as the (K_2, G)
+    at the end of every clique's chain, is answered without search, and any
+    other is searched afresh.
     """
     if n < 1:
         raise InputError("order must be at least 1")
@@ -288,46 +300,25 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
     return dfs(0)
 
 
-def _is_tree(g: Graph) -> bool:
-    return g.edge_count == g.n - 1 and len(g.components()) == 1
-
-
-def _closed_form(H: Graph, G: Graph) -> int | None:
-    """r(H, G) by a theorem, or None when neither of these applies, in either
-    colour order:
-
-    - r(K_2, G) = max(1, |V(G)|): a witness has no red edge, and all-blue
-      K_n holds G exactly when |V(G)| <= n; no order below 1 is searched;
-    - r(K_m, T) = (m - 1)(|T| - 1) + 1 for m >= 2 and a tree T, connected
-      with |T| - 1 edges (Chvátal, J. Graph Theory 1, 1977).
-    """
-    for a, b in ((H, G), (G, H)):
-        if a.n == 2 and a.edge_count == 1:
-            return max(1, b.n)
-        if _is_complete(a) and _is_tree(b):
-            return (a.n - 1) * (b.n - 1) + 1
-    return None
-
-
 def ramsey_number(H: Graph, G: Graph, n_cap: int) -> int | None:
     """Smallest n with no witness coloring, or None if witnesses persist
     through n_cap (the value is then greater than n_cap).
 
-    A value that `_closed_form` knows and that is below FIRST_ORDER_OVER_CAP
-    is returned without search.  Otherwise the orders are walked: a witness
-    on K_{n+1} restricts to one on K_n, so the first witness-free order is
-    the Ramsey number.  Every order below the Chvátal–Harary bound L
-    (`_lower_bound`) has a witness, so the DFS starts at L, and none is
-    built or checked below it.  The start is at most FIRST_ORDER_OVER_CAP,
-    so that an answer beyond the cap raises the same CapacityError as a walk
-    from 1 would; a known value at or above it is walked for the same reason.
+    A value that `_lower_bound` knows exactly and that is below
+    FIRST_ORDER_OVER_CAP is returned without search.  Otherwise the orders
+    are walked: a witness on K_{n+1} restricts to one on K_n, so the first
+    witness-free order is the Ramsey number.  Every order below the bound L
+    has a witness, so the DFS starts at L, and none is built or checked
+    below it.  The start is at most FIRST_ORDER_OVER_CAP, so that an answer
+    beyond the cap raises the same CapacityError as a walk from 1 would; a
+    known value at or above it is walked for the same reason.
     """
     if n_cap < 1:
         raise InputError("n_cap must be at least 1")
-    known = _closed_form(H, G)
-    if known is not None and known < FIRST_ORDER_OVER_CAP:
-        return known if known <= n_cap else None
-    for n in range(min(_lower_bound(H, G), FIRST_ORDER_OVER_CAP), n_cap + 1):
+    bound, exact = _lower_bound(H, G)
+    if exact and bound < FIRST_ORDER_OVER_CAP:
+        return bound if bound <= n_cap else None
+    for n in range(min(bound, FIRST_ORDER_OVER_CAP), n_cap + 1):
         if find_witness(n, H, G) is None:
             return n
     return None

@@ -38,10 +38,16 @@ def _normalize_pair(u: int, v: int) -> Pair:
 def _pairs_and_rows(n: int, pairs: Iterable[Pair]) -> tuple[frozenset[Pair], tuple[int, ...]]:
     """The pairs as a frozenset of int pairs, and the adjacency rows they give
     on K_n: bit v of row u is set iff {u, v} is a pair.  Rejects a negative
-    order, a self-loop and a pair that is not u < v within 0..n-1."""
+    order, a vertex id that is not an integer, a self-loop and a pair that is
+    not u < v within 0..n-1."""
+    from operator import index
+
     if n < 0:
         raise InputError("order must be non-negative")
-    pairs = frozenset((int(u), int(v)) for u, v in pairs)
+    try:
+        pairs = frozenset((index(u), index(v)) for u, v in pairs)
+    except TypeError as exc:
+        raise InputError(f"vertex ids must be integers: {exc}") from exc
     rows = [0] * n
     for u, v in pairs:
         if u == v:

@@ -203,6 +203,23 @@ class TestEmbed:
         assert (data["status"], data["reason"]) == (
             "failed", "greedy placement ran out of feasible host vertices")
 
+    @pytest.mark.parametrize("argv, same_as", [
+        # m^((s-2)/2) with m = 5: about 10^348 at s = 1000.
+        pytest.param(["--coloring", "c8", "--G", "p6", "--s", "1000"], "4", id="embed-s-1000"),
+        pytest.param(["--coloring", "c8", "--G", "p6", "--s", BIG], "4", id="embed-s"),
+        # m^((s-2)/2) with m = 20: about 10^324 at s = 500.
+        pytest.param(["--coloring", "k70", "--G", "p21", "--s", "500"], "200",
+                     id="embed-k70-p21-s-500"),
+    ])
+    def test_descent_threshold_past_the_float_range(self, capsys, input_files, argv, same_as):
+        # The threshold d is then above every red degree: no descent, and
+        # the same embedding as at a smaller s.
+        argv = ["embed", *(input_files.get(a, a) for a in argv)]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "embedded"
+        assert run(capsys, [*argv[:-1], same_as]) == (0, out, "")
+
 
 class TestPack:
     def test_all_red_k4(self, capsys, tmp_path):
@@ -548,14 +565,17 @@ def assert_one_error_line(code: int, out: str, err: str) -> None:
 
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
-    """K3, P4 and P6 graph files, an empty file, and a red C8 coloring."""
+    """K3, P4, P6 and P21 graph files, an empty file, a red C8 coloring and an
+    all-blue K70."""
     root = tmp_path_factory.mktemp("inputs")
     texts = {
         "k3": serialize_graph(complete_graph(3)),
         "p4": serialize_graph(path_graph(4)),
         "p6": serialize_graph(path_graph(6)),
+        "p21": serialize_graph(path_graph(21)),
         "empty": "",
         "c8": serialize_coloring(coloring_from_red(8, cycle_graph(8).edges)),
+        "k70": serialize_coloring(coloring_from_red(70, [])),
     }
     for name, text in texts.items():
         (root / name).write_text(text)
@@ -573,9 +593,6 @@ class TestOneErrorLine:
                       "--n", BIG], id="construct-n"),
         pytest.param(["construct", "--s", BIG, "--G", "p6", "--trials", "1", "--seed", "0"],
                      id="construct-s"),
-        # m^((s-2)/2) with m = 5: about 10^348 at s = 1000.
-        pytest.param(["embed", "--coloring", "c8", "--G", "p6", "--s", "1000"], id="embed-s-1000"),
-        pytest.param(["embed", "--coloring", "c8", "--G", "p6", "--s", BIG], id="embed-s"),
         pytest.param([*ERDOS_TETALI, "--s", "3", "--k", BIG], id="erdos-tetali-k"),
         pytest.param([*ERDOS_TETALI, "--s", BIG, "--k", "3"], id="erdos-tetali-s"),
         # (e * 924 / 500)^500 overflows although every input is small.

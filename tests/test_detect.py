@@ -396,6 +396,9 @@ class TestEmbeddingMap:
         emb = EmbeddingMap(complete_graph(2), {0: 0, 1: 1})
         assert not emb.validates(col, "blue")
         assert emb.validates(col, "red")
+        # Any colour but red used to count as blue.
+        with pytest.raises(InputError, match="color must be 'red' or 'blue'"):
+            emb.validates(TwoColoring(3), "green")
 
     def test_rejects_incomplete(self):
         emb = EmbeddingMap(path_graph(3), {0: 0, 1: 1})
@@ -404,3 +407,5 @@ class TestEmbeddingMap:
         k2_k1 = graph_from_edges(3, [(0, 1)])
         assert EmbeddingMap(k2_k1, {0: 0, 1: 1, 2: 2}).validates(TwoColoring(4), "blue")
         assert not EmbeddingMap(k2_k1, {0: 0, 1: 1, 7: 2}).validates(TwoColoring(4), "blue")
+        # Vertex 2 mapped outside the host.
+        assert not EmbeddingMap(k2_k1, {0: 0, 1: 1, 2: 4}).validates(TwoColoring(4), "blue")

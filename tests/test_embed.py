@@ -123,6 +123,17 @@ class TestEmbedGeneral:
         col = TwoColoring(10)
         emb = embed_general(col, g, 4)
         assert emb.validates(col, "blue")
+        assert embed_general(col, Graph(0), 4).assignment == {}
+
+    def test_descent_threshold_past_the_float_range(self):
+        # d = m^((s-2)/2) / (ln m)^((s-4)/2) overflows a float for m = 20 at
+        # s = 500, and divides by ln 1 = 0 for m = 1 at s = 5; d is then
+        # larger than any red degree, so there is no descent, as at s = 200
+        # and s = 4.
+        col = TwoColoring(70)
+        want = embed_general(col, path_graph(21), 200).assignment
+        assert embed_general(col, path_graph(21), 500).assignment == want
+        assert embed_general(col, path_graph(2), 5).assignment == {0: 0, 1: 1}
 
     def test_recursion_on_high_red_degree(self):
         # One vertex of red degree 9 over an internally red-empty (hence

@@ -32,6 +32,7 @@ from ramseykit.graphs import (
 
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
+THREE_K2 = GRAPHS_UP_TO_3_EDGES["3K2"]
 RED_C5 = coloring_from_red(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 START_PATTERNS = {
     **GRAPHS_UP_TO_3_EDGES,
@@ -417,6 +418,14 @@ def chvatal_harary_coloring(H, G):
     return max(colorings, key=lambda col: col.n)
 
 
+def one_colour_coloring(H, G):
+    """For patterns with an edge, the larger of all blue on |V(G)| - 1
+    vertices and all red on |V(H)| - 1 vertices."""
+    if G.n >= H.n:
+        return TwoColoring(G.n - 1)
+    return coloring_from_red(H.n - 1, itertools.combinations(range(H.n - 1), 2))
+
+
 class TestChvatalHararyStart:
     """ramsey_number starts its level walk at the Chvátal–Harary bound L
     instead of at 1; each order below L has a witness, so the answer is the
@@ -453,6 +462,11 @@ class TestChvatalHararyStart:
 
     @pytest.mark.parametrize("H, G, visited", [
         (K3, cycle_graph(5), [9]), (K3, K3, [5, 6]), (C4, complete_graph(4), [10]),
+        # All blue K5 holds neither K3 nor 3K2, so the walk from 1 would
+        # search [3, ..., 7].  r(4K2, 3K2) = 10 (Cockayne and Lorimer), and
+        # all red K7 holds no red 4K2.
+        (K3, THREE_K2, [6, 7]), (graph_from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+                                THREE_K2, [8, 9, 10]),
     ])
     def test_orders_searched(self, monkeypatch, H, G, visited):
         seen = []
@@ -476,22 +490,25 @@ class TestChvatalHararyStart:
 
     @pytest.mark.parametrize("h", list(START_PATTERNS))
     def test_construction_is_a_witness(self, h):
-        # The check that ramsey_number leaves out at run time: the colouring
-        # on K_{L-1} has no red H and no blue G, by exhaustive search.
+        # The check that ramsey_number leaves out at run time: the larger
+        # colouring, on K_{L-1}, has no red H and no blue G, by exhaustive
+        # search.
         H = START_PATTERNS[h]
         for g, G in START_PATTERNS.items():
-            col = chvatal_harary_coloring(H, G)
-            assert col.n == exact._lower_bound(H, G) - 1, (h, g)
+            col = max(chvatal_harary_coloring(H, G), one_colour_coloring(H, G),
+                      key=lambda col: col.n)
+            assert col.n == exact._lower_bound(H, G)[0] - 1, (h, g)
             if col.n <= 9:
                 assert naive_find_copy(col, "red", H) is None, (h, g)
                 assert naive_find_copy(col, "blue", G) is None, (h, g)
 
 
 def walked(H, G, n_cap):
-    """`reference_ramsey_number` with `_closed_form` off, so that the degree
-    caps' sub-pairs are searched too."""
+    """`reference_ramsey_number` with `_lower_bound`'s exact flag off, so that
+    the degree caps' sub-pairs are searched too."""
+    lower_bound = exact._lower_bound
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(exact, "_closed_form", lambda H, G: None)
+        m.setattr(exact, "_lower_bound", lambda H, G: (lower_bound(H, G)[0], False))
         return reference_ramsey_number(H, G, n_cap)
 
 
@@ -510,9 +527,10 @@ TREE_PAIRS = {
 
 
 class TestClosedForm:
-    """ramsey_number answers r(K2, G) = max(1, |V(G)|) and Chvátal's
-    r(K_m, T) = (m - 1)(|T| - 1) + 1 without search when the value is below
-    FIRST_ORDER_OVER_CAP; each value must be the one the walk finds."""
+    """`_lower_bound` marks r(K2, G) = max(1, |V(G)|) and Chvátal's
+    r(K_m, T) = (m - 1)(|T| - 1) + 1 exact, and ramsey_number answers them
+    without search when the value is below FIRST_ORDER_OVER_CAP; each value
+    must be the one the walk finds."""
 
     def test_k2_against_every_catalogue_pattern(self):
         K2 = complete_graph(2)
@@ -520,7 +538,7 @@ class TestClosedForm:
                      **DISCONNECTED, **WITH_ISOLATED, "K0": Graph(0)}
         for g, G in catalogue.items():
             want = max(1, G.n)
-            assert exact._closed_form(K2, G) == exact._closed_form(G, K2) == want, g
+            assert exact._lower_bound(K2, G) == exact._lower_bound(G, K2) == (want, True), g
             assert ramsey_number(K2, G, 8) == ramsey_number(G, K2, 8) == want, g
             assert walked(K2, G, 8) == walked(G, K2, 8) == want, g
 
@@ -533,23 +551,23 @@ class TestClosedForm:
         for order in range(1, max_order + 1):
             want = (m - 1) * (order - 1) + 1
             for T in trees(order):
-                assert exact._closed_form(K, T) == exact._closed_form(T, K) == want, T
+                assert exact._lower_bound(K, T) == exact._lower_bound(T, K) == (want, True), T
                 assert ramsey_number(K, T, 11) == ramsey_number(T, K, 11) == want, T
                 assert walked(K, T, 11) == walked(T, K, 11) == want, T
 
     def test_no_shortcut_off_trees(self, monkeypatch):
         # Forests, a tree plus K1 and cycles are walked.  K3+K1 has |V| - 1
         # edges but is not connected.
-        closed_form, results = exact._closed_form, {}
+        lower_bound, results = exact._lower_bound, {}
 
         def recorded(H, G):
-            results[H, G] = closed_form(H, G)
+            results[H, G] = lower_bound(H, G)
             return results[H, G]
 
-        monkeypatch.setattr(exact, "_closed_form", recorded)
+        monkeypatch.setattr(exact, "_lower_bound", recorded)
         others = {
             "2K2": DISCONNECTED["2K2"], "P3+K2": DISCONNECTED["P3+K2"],
-            "3K2": GRAPHS_UP_TO_3_EDGES["3K2"], "K2+K1": WITH_ISOLATED["K2+K1"],
+            "3K2": THREE_K2, "K2+K1": WITH_ISOLATED["K2+K1"],
             "P3+K1": WITH_ISOLATED["P3+K1"], "K13+K1": WITH_ISOLATED["K13+K1"],
             "K3+K1": WITH_ISOLATED["K3+K1"],
             "C4": C4, "C5": cycle_graph(5),
@@ -559,17 +577,17 @@ class TestClosedForm:
                 for A, B in ((K, G), (G, K)):
                     results.clear()
                     assert ramsey_number(A, B, 8) == walked(A, B, 8), g
-                    assert results[A, B] is None, g
+                    assert results[A, B][1] is False, g
 
     def test_value_above_cap(self):
         K2 = complete_graph(2)
-        assert exact._closed_form(K3, star_graph(5)) == 11
+        assert exact._lower_bound(K3, star_graph(5)) == (11, True)
         assert ramsey_number(K3, star_graph(5), 10) is None
         assert ramsey_number(star_graph(5), K3, 10) is None
         assert ramsey_number(K2, path_graph(11), 10) is None
         # Values from 12 up are walked, and the walk stops at K_12.
-        assert exact._closed_form(K2, path_graph(13)) == 13
-        assert exact._closed_form(K3, path_graph(7)) == 13
+        assert exact._lower_bound(K2, path_graph(13)) == (13, True)
+        assert exact._lower_bound(K3, path_graph(7)) == (13, True)
         assert ramsey_number(K2, path_graph(13), 11) is None
         for H, G in ((K2, path_graph(13)), (K3, path_graph(7))):
             with pytest.raises(CapacityError, match="^K_12 has 66 edges"):

@@ -54,6 +54,9 @@ class TestTypes:
     def test_graph_rejects_out_of_range(self):
         with pytest.raises(InputError):
             Graph(3, frozenset({(0, 3)}))
+        # int() would truncate 1.9 to the edge (0, 1).
+        with pytest.raises(InputError, match="vertex ids must be integers"):
+            Graph(3, {(0, 1.9)})
         with pytest.raises(InputError, match="non-negative"):
             Graph(-1)
         with pytest.raises(InputError, match="cycle needs at least 3 vertices"):
@@ -69,6 +72,8 @@ class TestTypes:
             coloring_from_red(4, [(0, 4)])
         with pytest.raises(InputError, match="self-loop"):
             TwoColoring(3, {(1, 1)})
+        with pytest.raises(InputError, match="vertex ids must be integers"):
+            TwoColoring(3, [(0, "2")])
         with pytest.raises(InputError, match="non-negative"):
             TwoColoring(-1)
 
