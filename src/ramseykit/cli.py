@@ -15,6 +15,14 @@ Exits 2 and 3 leave stdout empty.  A stdout closed by its reader, as in
 nothing on stderr.  All output is deterministic given the
 full flag set; one --seed flag governs all randomness.  `construct
 --threads` is accepted and ignored, so it never changes bytes.
+
+Importing this module loads only `ramseykit.errors` from the package, so a
+fresh process compiles no more of the package than its command runs.
+`build_parser` loads `exact` (with `detect`, `graphs` and `bitset`) for the
+edge cap in the `exact --cap` help.  Each command then imports what it runs
+when it runs: `construct` and `stats erdos-tetali` load `construct`, `embed`
+loads `embed`, `bounds` loads `bounds`, `stats chernoff` loads `construct`
+and numpy, and `exact`, `pack` and `gen-union` need nothing more.
 """
 from __future__ import annotations
 
@@ -27,25 +35,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from .construct import (
-    ConstructParams,
-    chernoff_tail_check,
-    construct_witness,
-    erdos_tetali_check,
-)
-from .detect import max_edge_disjoint_packing
-from .embed import embed_general
 from .errors import CapacityError, EmbedFailure, InputError
-from .exact import EDGE_CAP, FIRST_ORDER_OVER_CAP, ramsey_number
-from .graphs import (
-    clique_union_edges,
-    parse_coloring,
-    parse_graph,
-    serialize_coloring,
-    serialize_edges,
-    union_of_cliques_params,
-)
 
 
 def _load(path: str, parse):
@@ -70,9 +60,12 @@ def _emit(record: dict) -> None:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import evaluate_all
+    from .graphs import parse_graph
+
     H = _load(args.graph, parse_graph) if args.graph else None
     pq = tuple(args.pq) if args.pq else None
-    reports = bounds_mod.evaluate_all(
+    reports = evaluate_all(
         args.s, args.m, t=args.t, H=H, k=args.k, pq=pq, ell=args.ell
     )
     if args.json:
@@ -84,6 +77,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .construct import ConstructParams, construct_witness
+    from .graphs import parse_graph, serialize_coloring
+
     G = _load(args.G, parse_graph)
     params = ConstructParams(
         s=args.s,
@@ -127,6 +123,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .embed import embed_general
+    from .graphs import parse_coloring, parse_graph
+
     col = _load(args.coloring, parse_coloring)
     G = _load(args.G, parse_graph)
     try:
@@ -140,6 +139,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_pack(args) -> int:
+    from .detect import max_edge_disjoint_packing
+    from .graphs import parse_coloring
+
     col = _load(args.coloring, parse_coloring)
     mode = "exact" if args.exact else "greedy"
     packing = max_edge_disjoint_packing(col, args.s, mode)
@@ -153,6 +155,9 @@ def cmd_pack(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    from .exact import ramsey_number
+    from .graphs import parse_graph
+
     H = _load(args.H, parse_graph)
     G = _load(args.G, parse_graph)
     value = ramsey_number(H, G, args.cap)
@@ -164,6 +169,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_gen_union(args) -> int:
+    from .graphs import clique_union_edges, serialize_edges, union_of_cliques_params
+
     k, count = union_of_cliques_params(args.m, args.s)
     n, edge_count = k * count, count * (k * (k - 1) // 2)
     text = serialize_edges(n, edge_count, clique_union_edges(k, count))
@@ -183,6 +190,8 @@ def cmd_gen_union(args) -> int:
 
 
 def cmd_stats_chernoff(args) -> int:
+    from .construct import chernoff_tail_check
+
     empirical, bound = chernoff_tail_check(args.m, args.p, args.a, args.trials, args.seed)
     _emit({
         "m": args.m, "p": args.p, "a": args.a,
@@ -193,6 +202,8 @@ def cmd_stats_chernoff(args) -> int:
 
 
 def cmd_stats_erdos_tetali(args) -> int:
+    from .construct import erdos_tetali_check
+
     empirical, bound = erdos_tetali_check(args.n, args.p, args.s, args.k, args.trials, args.seed)
     _emit({
         "n": args.n, "p": args.p, "s": args.s, "k": args.k,
@@ -212,6 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and then shared: `parse_args`
     returns a fresh namespace each call and `_Parser.error` only raises, so
     no call leaves state in it."""
+    from .exact import EDGE_CAP, FIRST_ORDER_OVER_CAP
+
     parser = _Parser(
         prog="ramseykit",
         description="Ramsey-number toolkit: witness construction, embedding, "

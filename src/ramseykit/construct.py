@@ -10,11 +10,12 @@ post-recoloring coloring has no blue G is a witness that r(K_s, G) > n.
 """
 from __future__ import annotations
 
+import _random
+import functools
 import hashlib
 import math
-import random
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterator, Literal
 
 from .detect import (
     CliquePacking,
@@ -95,28 +96,63 @@ def _theorem1_p(s: int, n: int) -> float:
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
-    """Per-trial RNG seed: blake2b of "seed:index", stable across platforms."""
+    """Per-trial RNG seed: blake2b of "seed:index", stable across platforms.
+
+    This is the definition; `_trial_seeds` gives the same values in trial
+    order more cheaply, and the samplers draw from it.
+    """
     digest = hashlib.blake2b(f"{master_seed}:{trial_index}".encode(), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
+
+
+def _trial_seeds(master_seed: int, count: int) -> Iterator[int]:
+    """`trial_seed(master_seed, i)` for i = 0 .. count - 1.
+
+    The "seed:" prefix is hashed once; each trial copies that state and
+    hashes only its index, which is the same digest as hashing the whole
+    string.
+    """
+    prefix = hashlib.blake2b(f"{master_seed}:".encode(), digest_size=8)
+    from_bytes = int.from_bytes
+    for i in range(count):
+        digest = prefix.copy()
+        digest.update(str(i).encode())
+        yield from_bytes(digest.digest(), "big")
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_plan(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, range], ...]]:
+    """The bit of each vertex of K_n, and one (u, bit of u, range(u + 1, n))
+    row per vertex: the lexicographic pair order of `random_coloring`.  The
+    cache keeps the last 8 orders; at n = 10,000 one entry is about 9 MB."""
+    bits = tuple(1 << v for v in range(n))
+    return bits, tuple((u, bits[u], range(u + 1, n)) for u in range(n))
 
 
 def random_coloring(n: int, p: float, seed: int) -> TwoColoring:
     """Each of the n(n-1)/2 pairs is red independently with probability p.
 
-    One uniform draw per pair, in lexicographic pair order, so a coloring is
-    fully determined by (n, p, seed).  Each red draw sets its two bits of the
-    red rows directly.
+    One uniform draw per pair, in lexicographic pair order, from the MT19937
+    stream of `random.Random(seed)`, so a coloring is fully determined by
+    (n, p, seed).  The draws come from the C generator `_random.Random(seed)`
+    directly, which for an int seed is that stream without the Python-level
+    seeding wrapper.  A seed of another type is rejected: the C generator
+    would seed a str from its per-process hash.  The vertex bits and pair
+    rows of order n come from the `_pair_plan` cache, and each red draw sets
+    its two bits of the red rows directly.
     """
     if n < 0:
         raise InputError("order must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise InputError("p must lie in [0, 1]")
-    draw = random.Random(seed).random
-    bits = [1 << v for v in range(n)]
+    if not isinstance(seed, int):
+        raise InputError("seed must be an integer")
+    draw = _random.Random(seed).random
+    bits, plan = _pair_plan(n)
     rows = [0] * n
-    for u in range(n):
-        row, bit = rows[u], bits[u]
-        for v in range(u + 1, n):
+    for u, bit, vs in plan:
+        row = rows[u]
+        for v in vs:
             if draw() < p:
                 row |= bits[v]
                 rows[v] |= bit
@@ -139,9 +175,12 @@ def recolor_packing(col: TwoColoring, s: int) -> tuple[TwoColoring, CliquePackin
 
 
 def run_trial(params: ConstructParams, G: Graph, n: int, p: float,
-              trial_index: int) -> TrialReport:
-    """One independent trial: color, recolor, verify."""
-    col = random_coloring(n, p, trial_seed(params.seed, trial_index))
+              trial_index: int, seed: int) -> TrialReport:
+    """One independent trial: color, recolor, verify.
+
+    `seed` is the trial's coloring seed, `trial_seed(params.seed, trial_index)`.
+    """
+    col = random_coloring(n, p, seed)
     before = col.red_count
     recolored, packing = recolor_packing(col, params.s)
     after = recolored.red_count
@@ -169,9 +208,11 @@ def construct_witness(params: ConstructParams, G: Graph,
                       threads: int = 1) -> list[TrialReport]:
     """Run `params.trials` independent trials; reports come back in trial order.
 
-    Per-trial randomness derives from (seed, trial index).  `threads` is
-    accepted and ignored: the trials are pure Python, and a thread pool ran
-    them slower than one thread under the interpreter lock.
+    Trial i colors from `trial_seed(params.seed, i)`, taken in order from one
+    `_trial_seeds` stream, and every trial's `random_coloring` reads the same
+    cached tables of order n.  `threads` is accepted and ignored: the trials
+    are pure Python, and a thread pool ran them slower than one thread under
+    the interpreter lock.
     """
     if G.n < 1:
         raise InputError("target graph must be nonempty")
@@ -183,7 +224,8 @@ def construct_witness(params: ConstructParams, G: Graph,
     # Trial colorings are written to files that parse_coloring must read back.
     if n > MAX_PARSE_ORDER:
         raise CapacityError(f"order {n} above the cap of {MAX_PARSE_ORDER}")
-    return [run_trial(params, G, n, p, i) for i in range(params.trials)]
+    seeds = _trial_seeds(params.seed, params.trials)
+    return [run_trial(params, G, n, p, i, seed) for i, seed in enumerate(seeds)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +269,9 @@ def erdos_tetali_check(n: int, p: float, s: int, k: int, trials: int,
     of edge-disjoint red s-cliques in a random coloring and mu = C(n,s) *
     p^C(s,2) is the expected clique count.
 
+    Sample i is `random_coloring(n, p, trial_seed(seed, i))`, one call per
+    sample, with the seeds taken in order from one `_trial_seeds` stream (one
+    hash of the "seed:" prefix per call) and the order's bit table cached.
     Each sample decides X0 >= k with `_exact_packing` at target k, which
     stops at the k-th edge-disjoint clique instead of computing X0.  Deciding
     is still an exact search in the worst case, so exact packing's order cap
@@ -245,8 +290,8 @@ def erdos_tetali_check(n: int, p: float, s: int, k: int, trials: int,
     check_exact_packing_order(n)
     mu = math.comb(n, s) * p ** math.comb(s, 2)
     hits = 0
-    for i in range(trials):
-        col = random_coloring(n, p, trial_seed(seed, i))
+    for sample_seed in _trial_seeds(seed, trials):
+        col = random_coloring(n, p, sample_seed)
         if len(_exact_packing(col, s, k)) == k:
             hits += 1
     bound = (math.e * mu / k) ** k

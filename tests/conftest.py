@@ -8,8 +8,8 @@ import itertools
 import math
 import random
 
-from ramseykit.construct import random_coloring, trial_seed
-from ramseykit.detect import _greedy_packing, max_edge_disjoint_packing
+from ramseykit.construct import trial_seed
+from ramseykit.detect import _greedy_packing
 from ramseykit.exact import find_witness
 from ramseykit.graphs import (
     Graph,
@@ -33,7 +33,8 @@ def all_colorings(n: int):
 
 def reference_random_red(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     """The red pairs of `random_coloring(n, p, seed)` drawn as a pair list: one
-    uniform draw of `random.Random(seed)` per pair, in lexicographic order."""
+    uniform draw of the standard library's `random.Random(seed)` per pair, in
+    lexicographic order, with no table and no cache."""
     draw = random.Random(seed).random
     return [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < p]
 
@@ -137,15 +138,16 @@ def greedy_with_extra_members(extra):
     return greedy
 
 
-def reference_erdos_tetali(n: int, p: float, s: int, k: int, trials: int,
-                            seed: int) -> tuple[float, float]:
-    """The Erdős–Tetali validator loop that computes the maximum packing of
-    every sample and compares its size with k, on the same sample colorings
-    as `construct.erdos_tetali_check`."""
+def reference_erdos_tetali(n: int, p: float, s: int, k: int, trials: int, seed: int,
+                           max_packing_size) -> tuple[float, float]:
+    """The Erdős–Tetali validator loop that computes the maximum packing size
+    `max_packing_size(col, s)` of every sample and compares it with k.  Sample
+    i is drawn by `reference_random_red` from `trial_seed(seed, i)`, each seed
+    computed on its own."""
     hits = 0
     for i in range(trials):
-        col = random_coloring(n, p, trial_seed(seed, i))
-        if max_edge_disjoint_packing(col, s, "exact").size >= k:
+        col = TwoColoring(n, reference_random_red(n, p, trial_seed(seed, i)))
+        if max_packing_size(col, s) >= k:
             hits += 1
     mu = math.comb(n, s) * p ** math.comb(s, 2)
     return hits / trials, (math.e * mu / k) ** k

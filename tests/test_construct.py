@@ -10,6 +10,7 @@ from conftest import (
     FAULTY_TRIANGLES,
     ONE_TRIANGLE_PACKING,
     greedy_with_extra_members,
+    naive_max_packing_size,
     reference_erdos_tetali,
     reference_greedy_packing,
     reference_random_red,
@@ -26,7 +27,7 @@ from ramseykit.construct import (
     theorem1_parameters,
     trial_seed,
 )
-from ramseykit.detect import find_clique, find_copy
+from ramseykit.detect import find_clique, find_copy, max_edge_disjoint_packing
 from ramseykit.errors import CapacityError, ContractViolation, InputError
 from ramseykit.graphs import (
     MAX_PARSE_ORDER,
@@ -104,11 +105,18 @@ class TestRandomColoring:
         with pytest.raises(InputError, match="order must be non-negative"):
             random_coloring(-1, 0.5, 0)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 63, 64, 65, 80])
-    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", ["0", b"0", 0.0, None])
+    def test_rejects_a_seed_that_is_not_an_int(self, seed):
+        # The C generator would seed a str from its per-process hash.
+        with pytest.raises(InputError, match="seed must be an integer"):
+            random_coloring(5, 0.5, seed)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 12, 60, 63, 64, 65, 80])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.3, 0.5, 1.0])
     def test_matches_pair_list_draw(self, n, p):
-        # The rows are drawn directly; the pair list of the same draws, in the
-        # same order, must give the same coloring (63..65 straddle 64 bits).
+        # The rows are drawn directly from cached tables; the pair list of the
+        # standard library's draws, in the same order, must give the same
+        # coloring (63..65 straddle 64 bits).
         for seed in (0, 1, 12345, 2**64 - 1):
             ref = reference_random_red(n, p, seed)
             col = random_coloring(n, p, seed)
@@ -290,6 +298,14 @@ class TestTrialSeed:
         seeds = {trial_seed(42, i) for i in range(1000)}
         assert len(seeds) == 1000
 
+    @pytest.mark.parametrize("master", [0, -1, 10**30])
+    def test_stream_equals_definition(self, master):
+        # 20,001 indices cross every step of the index's digit count up to 5.
+        count = 20_001
+        assert list(construct._trial_seeds(master, count)) == \
+            [trial_seed(master, i) for i in range(count)]
+        assert list(construct._trial_seeds(master, 0)) == []
+
 
 class TestChernoff:
     def test_tiny_tail_point(self):
@@ -393,7 +409,28 @@ class TestErdosTetali:
         (9, 1.0, 3, 2), (8, 1.0, 4, 2),
     ])
     def test_matches_maximum_packing_loop(self, n, p, s, trials):
+        def exact_size(col, s):
+            return max_edge_disjoint_packing(col, s, "exact").size
+
         # The last k lies above the clique count of every sample.
         for k in (1, 2, 3, 5, comb(n, s) + 1):
             got = erdos_tetali_check(n, p, s, k, trials, 7)
-            assert got == reference_erdos_tetali(n, p, s, k, trials, 7), k
+            assert got == reference_erdos_tetali(n, p, s, k, trials, 7, exact_size), k
+
+    # The benchmark's Erdős–Tetali points (s = 3), with as many samples as the
+    # unbounded reference packing search finishes in about a second.
+    @pytest.mark.parametrize("n, p, k, trials, seed", [
+        (8, 0.3, 3, 300, 1_234_567), (10, 0.3, 10, 300, 2**31 - 1), (10, 0.5, 3, 100, 0),
+        (12, 0.4, 3, 60, 0), (12, 0.45, 3, 12, 0),
+    ])
+    def test_matches_reference_sampler(self, monkeypatch, n, p, k, trials, seed):
+        calls = []
+
+        def spy(n, p, seed):
+            calls.append(seed)
+            return random_coloring(n, p, seed)
+
+        monkeypatch.setattr(construct, "random_coloring", spy)
+        got = erdos_tetali_check(n, p, 3, k, trials, seed)
+        assert calls == [trial_seed(seed, i) for i in range(trials)]
+        assert got == reference_erdos_tetali(n, p, 3, k, trials, seed, naive_max_packing_size)
