@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": ("BoundReport", "evaluate_all", "theorem3_exponent"),
     "construct": (
-        "ConstructParams",
         "TrialReport",
         "chernoff_tail_check",
         "construct_witness",

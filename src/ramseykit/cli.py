@@ -1,13 +1,14 @@
 """Command-line surface tying the library together.
 
 Every subcommand prints a machine-readable JSON record (schemas live in
-docs/schemas/); human text is a rendering of the same record.  Exit codes are
-uniform: 0 for success / an affirmative result, 1 for a legitimate negative
-outcome (no witness trial succeeded, embedding failed, value above cap), 2
-for input errors, argparse usage errors, unwritable --out paths and numbers
-too large for floating point included, printed as one stderr line
-"error: <message>", 3 for internal errors (a broken contract, an exhausted
-search budget, any other uncaught exception), printed as one stderr line
+docs/schemas/), except `bounds`, which prints one text line per report unless
+given --json.  Exit codes are uniform: 0 for success / an affirmative result,
+1 for a legitimate negative outcome (no witness trial succeeded, embedding
+failed, value above cap), 2 for input errors, argparse usage errors,
+unreadable input files, unwritable --out paths and numbers too large for
+floating point included, printed as one stderr line "error: <message>", 3 for
+internal errors (a broken contract, an exhausted search budget, any other
+uncaught exception), printed as one stderr line
 "internal error: <type>: <message>".
 Exits 2 and 3 leave stdout empty.  A stdout closed by its reader, as in
 `ramseykit gen-union ... | head`, ends the command quietly with 141
@@ -16,13 +17,12 @@ nothing on stderr.  All output is deterministic given the
 full flag set; one --seed flag governs all randomness.  `construct
 --threads` is accepted and ignored, so it never changes bytes.
 
-Importing this module loads only `ramseykit.errors` from the package, so a
-fresh process compiles no more of the package than its command runs.
-`build_parser` loads `exact` (with `detect`, `graphs` and `bitset`) for the
-edge cap in the `exact --cap` help.  Each command then imports what it runs
-when it runs: `construct` and `stats erdos-tetali` load `construct`, `embed`
-loads `embed`, `bounds` loads `bounds`, `stats chernoff` loads `construct`
-and numpy, and `exact`, `pack` and `gen-union` need nothing more.
+Importing this module or building its parser loads only `ramseykit.errors`
+from the package, so a fresh process compiles no more of the package than its
+command runs.  Each command imports its modules when it runs: `gen-union`
+loads `graphs` (with `bitset`), `bounds` adds `bounds`, `pack` adds `detect`,
+`exact` and `embed` add `detect` and their namesake, and `construct` and both
+`stats` commands add `detect` and `construct`, with numpy for `stats chernoff`.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .errors import CapacityError, EmbedFailure, InputError
 def _load(path: str, parse):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read file {path}: {exc}") from exc
     return parse(text)
 
@@ -77,23 +77,16 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    from .construct import ConstructParams, construct_witness
+    from .construct import construct_witness
     from .graphs import parse_graph, serialize_coloring
 
     G = _load(args.G, parse_graph)
-    params = ConstructParams(
-        s=args.s,
-        n_override=args.n,
-        p_override=args.p,
-        trials=args.trials,
-        seed=args.seed,
-        node_budget=args.node_budget,
-    )
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         with _writing(out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)
-    reports = construct_witness(params, G, threads=args.threads)
+    reports = construct_witness(G, args.s, trials=args.trials, seed=args.seed, n=args.n,
+                                p=args.p, node_budget=args.node_budget, threads=args.threads)
     trial_records = []
     for r in reports:
         # Every report field but the coloring, in field order.
@@ -223,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and then shared: `parse_args`
     returns a fresh namespace each call and `_Parser.error` only raises, so
     no call leaves state in it."""
-    from .exact import EDGE_CAP, FIRST_ORDER_OVER_CAP
-
     parser = _Parser(
         prog="ramseykit",
         description="Ramsey-number toolkit: witness construction, embedding, "
@@ -273,9 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=str, required=True, help="red-side graph file")
     p.add_argument("--G", type=str, required=True, help="blue-side graph file")
     p.add_argument("--cap", type=int, default=9,
-                   help="highest order n to search (default 9); reaching an order "
-                        f"above {FIRST_ORDER_OVER_CAP - 1}, beyond the search's "
-                        f"{EDGE_CAP}-edge cap, exits 2")
+                   help="highest order n to search (default %(default)s); reaching an "
+                        "order beyond the search's edge cap exits 2")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("gen-union", help="disjoint-clique graph with >= m edges")

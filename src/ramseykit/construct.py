@@ -38,33 +38,6 @@ CHERNOFF_MAX_M = 2**63 - 1
 
 
 @dataclass(frozen=True)
-class ConstructParams:
-    """Knobs for the witness-search trials.
-
-    Without `n_override`, the order is Theorem 1's at m = e(G) of the target
-    graph; without `p_override`, p is Theorem 1's at that order.
-    """
-
-    s: int
-    n_override: int | None = None
-    p_override: float | None = None
-    trials: int = 1
-    seed: int = 0
-    node_budget: int | None = None
-
-    def __post_init__(self):
-        if self.s < 3:
-            raise InputError("s must be at least 3")
-        if self.trials < 1:
-            raise InputError("trials must be positive")
-        if self.p_override is not None and not 0.0 <= self.p_override <= 1.0:
-            raise InputError("p must lie in [0, 1]")
-        if self.n_override is not None and self.n_override < 1:
-            raise InputError("n must be positive")
-        check_node_budget(self.node_budget)
-
-
-@dataclass(frozen=True)
 class TrialReport:
     trial_index: int
     coloring: TwoColoring
@@ -174,22 +147,25 @@ def recolor_packing(col: TwoColoring, s: int) -> tuple[TwoColoring, CliquePackin
     return TwoColoring._from_rows(rows), CliquePacking(s=s, members=members)
 
 
-def run_trial(params: ConstructParams, G: Graph, n: int, p: float,
-              trial_index: int, seed: int) -> TrialReport:
-    """One independent trial: color, recolor, verify.
+def run_trial(G: Graph, s: int, n: int, p: float, trial_index: int, seed: int,
+              node_budget: int | None) -> TrialReport:
+    """One independent trial at order n and red probability p: color,
+    recolor the greedy red K_s packing, verify.
 
-    `seed` is the trial's coloring seed, `trial_seed(params.seed, trial_index)`.
+    `seed` is the trial's coloring seed, `trial_seed(master_seed, trial_index)`;
+    `node_budget` bounds the blue `find_copy` of G, and a trial that exhausts
+    it reports status "unknown".
     """
     col = random_coloring(n, p, seed)
     before = col.red_count
-    recolored, packing = recolor_packing(col, params.s)
+    recolored, packing = recolor_packing(col, s)
     after = recolored.red_count
-    if find_clique(recolored, "red", params.s) is not None:
+    if find_clique(recolored, "red", s) is not None:
         raise ContractViolation("residual red graph contains a forbidden clique")
-    if before - after != math.comb(params.s, 2) * packing.size:
+    if before - after != math.comb(s, 2) * packing.size:
         raise ContractViolation("edge-flip accounting mismatch")
     try:
-        emb = find_copy(recolored, "blue", G, params.node_budget)
+        emb = find_copy(recolored, "blue", G, node_budget)
         status: BlueStatus = "found" if emb is not None else "absent"
     except SearchBudgetExceeded:
         status = "unknown"
@@ -204,28 +180,41 @@ def run_trial(params: ConstructParams, G: Graph, n: int, p: float,
     )
 
 
-def construct_witness(params: ConstructParams, G: Graph,
+def construct_witness(G: Graph, s: int, *, trials: int, seed: int, n: int | None = None,
+                      p: float | None = None, node_budget: int | None = None,
                       threads: int = 1) -> list[TrialReport]:
-    """Run `params.trials` independent trials; reports come back in trial order.
+    """Run `trials` independent trials against the blue target G; reports
+    come back in trial order.
 
-    Trial i colors from `trial_seed(params.seed, i)`, taken in order from one
-    `_trial_seeds` stream, and every trial's `random_coloring` reads the same
-    cached tables of order n.  `threads` is accepted and ignored: the trials
-    are pure Python, and a thread pool ran them slower than one thread under
-    the interpreter lock.
+    Without `n`, the order is Theorem 1's at m = e(G); without `p`, p is
+    Theorem 1's at that order.  Every argument is checked before the first
+    trial.  Trial i colors from `trial_seed(seed, i)`, taken in order from
+    one `_trial_seeds` stream, and every trial's `random_coloring` reads the
+    same cached tables of order n.  `threads` is accepted and ignored: the
+    trials are pure Python, and a thread pool ran them slower than one
+    thread under the interpreter lock.
     """
+    if s < 3:
+        raise InputError("s must be at least 3")
+    if trials < 1:
+        raise InputError("trials must be positive")
+    if p is not None and not 0.0 <= p <= 1.0:
+        raise InputError("p must lie in [0, 1]")
+    if n is not None and n < 1:
+        raise InputError("n must be positive")
+    check_node_budget(node_budget)
     if G.n < 1:
         raise InputError("target graph must be nonempty")
-    n, p = params.n_override, params.p_override
     if n is None:
-        n, _ = theorem1_parameters(params.s, G.edge_count)
+        n, _ = theorem1_parameters(s, G.edge_count)
     if p is None:
-        p = _theorem1_p(params.s, n)
+        p = _theorem1_p(s, n)
     # Trial colorings are written to files that parse_coloring must read back.
     if n > MAX_PARSE_ORDER:
         raise CapacityError(f"order {n} above the cap of {MAX_PARSE_ORDER}")
-    seeds = _trial_seeds(params.seed, params.trials)
-    return [run_trial(params, G, n, p, i, seed) for i, seed in enumerate(seeds)]
+    seeds = _trial_seeds(seed, trials)
+    return [run_trial(G, s, n, p, i, coloring_seed, node_budget)
+            for i, coloring_seed in enumerate(seeds)]
 
 
 # ---------------------------------------------------------------------------

@@ -101,12 +101,11 @@ def embed_s3(col: TwoColoring, G: Graph) -> EmbeddingMap:
         # Maximum red degree inside the block, ties to the smallest id.
         t_of = [(red[v] & block_mask).bit_count() for v in block]
         vstar = block[max(range(len(block)), key=lambda i: (t_of[i], -block[i]))]
-        X = sorted(iter_bits(red[vstar] & block_mask))
+        x_mask = red[vstar] & block_mask
+        X = list(iter_bits(x_mask))
         t = len(X)
-        for i in range(t):
-            for j in range(i + 1, t):
-                if (red[X[i]] >> X[j]) & 1:
-                    raise ContractViolation("red pair inside the red neighborhood X")
+        if any(red[x] & x_mask for x in X):
+            raise ContractViolation("red pair inside the red neighborhood X")
 
         rest, used = _place_high_degree(X, comp, deg, assignment, 0)
         _greedy_place(red, block_mask, t, gadj, rest, assignment, used, ContractViolation)

@@ -66,7 +66,6 @@ blue one is checked against the red neighbours y of o only.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Callable
 
 from .bitset import iter_bits
@@ -74,9 +73,8 @@ from .detect import _cliques, _pattern_plan, _place, find_copy
 from .errors import CapacityError, InputError
 from .graphs import Graph, TwoColoring, graph_from_edges
 
-EDGE_CAP = 55
-# The first order whose K_n has more edges than EDGE_CAP: 12.
-FIRST_ORDER_OVER_CAP = next(n for n in itertools.count(1) if n * (n - 1) // 2 > EDGE_CAP)
+# The highest order find_witness searches; the edges of its K_n are the edge cap.
+MAX_ORDER = 11
 
 
 def is_witness(col: TwoColoring, H: Graph, G: Graph) -> bool:
@@ -255,8 +253,9 @@ def find_witness(n: int, H: Graph, G: Graph) -> TwoColoring | None:
     if n < 1:
         raise InputError("order must be at least 1")
     pairs = n * (n - 1) // 2
-    if pairs > EDGE_CAP:
-        raise CapacityError(f"K_{n} has {pairs} edges, above the cap of {EDGE_CAP}")
+    if n > MAX_ORDER:
+        cap = MAX_ORDER * (MAX_ORDER - 1) // 2
+        raise CapacityError(f"K_{n} has {pairs} edges, above the cap of {cap}")
     # An edgeless pattern that fits in K_n is present in every coloring.
     if H.edge_count == 0 and H.n <= n:
         return None
@@ -304,21 +303,21 @@ def ramsey_number(H: Graph, G: Graph, n_cap: int) -> int | None:
     """Smallest n with no witness coloring, or None if witnesses persist
     through n_cap (the value is then greater than n_cap).
 
-    A value that `_lower_bound` knows exactly and that is below
-    FIRST_ORDER_OVER_CAP is returned without search.  Otherwise the orders
-    are walked: a witness on K_{n+1} restricts to one on K_n, so the first
-    witness-free order is the Ramsey number.  Every order below the bound L
-    has a witness, so the DFS starts at L, and none is built or checked
-    below it.  The start is at most FIRST_ORDER_OVER_CAP, so that an answer
-    beyond the cap raises the same CapacityError as a walk from 1 would; a
-    known value at or above it is walked for the same reason.
+    A value that `_lower_bound` knows exactly and that is at most MAX_ORDER
+    is returned without search.  Otherwise the orders are walked: a witness
+    on K_{n+1} restricts to one on K_n, so the first witness-free order is
+    the Ramsey number.  Every order below the bound L has a witness, so the
+    DFS starts at L, and none is built or checked below it.  The start is at
+    most MAX_ORDER + 1, so that an answer beyond the cap raises the same
+    CapacityError as a walk from 1 would; a known value above MAX_ORDER is
+    walked for the same reason.
     """
     if n_cap < 1:
         raise InputError("n_cap must be at least 1")
     bound, exact = _lower_bound(H, G)
-    if exact and bound < FIRST_ORDER_OVER_CAP:
+    if exact and bound <= MAX_ORDER:
         return bound if bound <= n_cap else None
-    for n in range(min(bound, FIRST_ORDER_OVER_CAP), n_cap + 1):
+    for n in range(min(bound, MAX_ORDER + 1), n_cap + 1):
         if find_witness(n, H, G) is None:
             return n
     return None

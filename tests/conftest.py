@@ -171,6 +171,13 @@ def random_connected_graph(rng: random.Random, m: int) -> Graph:
     return graph_from_edges(v, edges)
 
 
+def random_coloring_local(rng: random.Random, n: int, q: float) -> TwoColoring:
+    """Each pair of K_n red with probability q, one draw of `rng` per pair in
+    lexicographic order."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return coloring_from_red(n, [p for p in pairs if rng.random() < q])
+
+
 def random_bipartite_red_coloring(rng: random.Random, n: int, q: float) -> TwoColoring:
     """Triangle-free red graph: random bipartition, cross pairs red w.p. q."""
     side = [rng.random() < 0.5 for _ in range(n)]

@@ -21,7 +21,6 @@ from conftest import (
 from ramseykit.bounds import evaluate_all, theorem3_exponent
 from ramseykit.cli import main
 from ramseykit.construct import (
-    ConstructParams,
     chernoff_tail_check,
     construct_witness,
     erdos_tetali_check,
@@ -84,11 +83,8 @@ def test_acceptance_4_deletion_method_invariant():
     for s in (3, 4):
         for n in (10, 25, 40):
             for p in (0.05, 0.1, 0.2, 0.35, 0.5):
-                params = ConstructParams(
-                    s=s, n_override=n, p_override=p,
-                    trials=trials_per_point, seed=100000 * s + 1000 * n + int(p * 100),
-                )
-                for r in construct_witness(params, k2):
+                seed = 100000 * s + 1000 * n + int(p * 100)
+                for r in construct_witness(k2, s, trials=trials_per_point, seed=seed, n=n, p=p):
                     total += 1
                     assert r.red_Ks_free
                     flips = r.red_edges_before - r.red_edges_after

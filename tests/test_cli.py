@@ -519,11 +519,12 @@ class TestConstructAndEmbedInputErrors:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # Importing the CLI compiles only itself and the error types: each command
-    # imports its kernels when it runs, and the package resolves its exports
-    # on first access.
+    # Importing the CLI and building its parser compile only the CLI and the
+    # error types: each command imports its kernels when it runs, and the
+    # package resolves its exports on first access.
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = ("import json, sys, ramseykit.cli; print(json.dumps(sorted(m for m in sys.modules "
+    probe = ("import json, sys, ramseykit.cli; ramseykit.cli.build_parser(); "
+             "print(json.dumps(sorted(m for m in sys.modules "
              "if m == 'numpy' or m.split('.')[0] == 'ramseykit')))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -569,8 +570,8 @@ def assert_one_error_line(code: int, out: str, err: str) -> None:
 
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
-    """K3, P4, P6 and P21 graph files, an empty file, a red C8 coloring and an
-    all-blue K70."""
+    """K3, P4, P6 and P21 graph files, an empty file, a red C8 coloring, an
+    all-blue K70 and a file that is not UTF-8."""
     root = tmp_path_factory.mktemp("inputs")
     texts = {
         "k3": serialize_graph(complete_graph(3)),
@@ -583,7 +584,8 @@ def input_files(tmp_path_factory):
     }
     for name, text in texts.items():
         (root / name).write_text(text)
-    return {name: str(root / name) for name in texts}
+    (root / "not-utf8").write_bytes(b"p 3 1\ne 1 \xff\n")
+    return {name: str(root / name) for name in [*texts, "not-utf8"]}
 
 
 ERDOS_TETALI = ["stats", "erdos-tetali", "--n", "12", "--p", "1", "--trials", "1", "--seed", "0"]
@@ -606,6 +608,15 @@ class TestOneErrorLine:
         pytest.param(["nosuch"], id="argparse-unknown-subcommand"),
         pytest.param(["construct", "--s", "3", "--G", "p6", "--trials", "0.5", "--seed", "0"],
                      id="argparse-fractional-int"),
+        # Every flag that reads a file: bytes that are not UTF-8 are bad input.
+        pytest.param(["exact", "--H", "not-utf8", "--G", "k3"], id="exact-H-not-utf8"),
+        pytest.param(["construct", "--s", "3", "--G", "not-utf8", "--trials", "1", "--seed", "0"],
+                     id="construct-G-not-utf8"),
+        pytest.param(["embed", "--coloring", "not-utf8", "--G", "p6", "--s", "3"],
+                     id="embed-coloring-not-utf8"),
+        pytest.param(["pack", "--coloring", "not-utf8", "--s", "3"], id="pack-coloring-not-utf8"),
+        pytest.param(["bounds", "--s", "3", "--m", "10", "--graph", "not-utf8"],
+                     id="bounds-graph-not-utf8"),
     ])
     def test_bad_input_returns_2(self, capsys, input_files, argv):
         argv = [input_files.get(a, a) for a in argv]

@@ -18,7 +18,6 @@ from conftest import (
 from ramseykit import construct
 from ramseykit.construct import (
     CHERNOFF_CHUNK,
-    ConstructParams,
     chernoff_tail_check,
     construct_witness,
     erdos_tetali_check,
@@ -192,7 +191,7 @@ class TestTrialContract:
     """A faulty packing pass must break the trial's edge-flip accounting or
     leave a red s-clique in the residual."""
 
-    PARAMS = ConstructParams(s=3, n_override=6, p_override=0.5, trials=1, seed=0)
+    FLAGS = {"trials": 1, "seed": 0, "n": 6, "p": 0.5}
 
     @pytest.fixture(autouse=True)
     def fixed_coloring(self, monkeypatch):
@@ -200,7 +199,7 @@ class TestTrialContract:
 
     def test_sound_packing_passes(self, monkeypatch):
         monkeypatch.setattr(construct, "_greedy_packing", greedy_with_extra_members([]))
-        report = construct_witness(self.PARAMS, complete_graph(3))[0]
+        report = construct_witness(complete_graph(3), 3, **self.FLAGS)[0]
         assert report.packing_size == 1
         assert (report.red_edges_before, report.red_edges_after) == (7, 4)
 
@@ -209,21 +208,19 @@ class TestTrialContract:
         extra = FAULTY_TRIANGLES[fault]
         monkeypatch.setattr(construct, "_greedy_packing", greedy_with_extra_members(extra))
         with pytest.raises(ContractViolation, match="edge-flip accounting mismatch"):
-            construct_witness(self.PARAMS, complete_graph(3))
+            construct_witness(complete_graph(3), 3, **self.FLAGS)
 
     def test_empty_packing_leaves_a_red_clique(self, monkeypatch):
         monkeypatch.setattr(construct, "_greedy_packing", lambda adj, s: iter(()))
         with pytest.raises(ContractViolation, match="residual red graph contains"):
-            construct_witness(self.PARAMS, complete_graph(3))
+            construct_witness(complete_graph(3), 3, **self.FLAGS)
 
 
 class TestConstructWitness:
     def test_witness_found_on_k5(self):
         # Witnesses for r(K_3, K_3) > 5 exist (the 5-cycle coloring); with
         # p = 0.5 and 300 trials at this seed, at least one trial lands on one.
-        params = ConstructParams(s=3, n_override=5, p_override=0.5,
-                                 trials=300, seed=0)
-        reports = construct_witness(params, complete_graph(3))
+        reports = construct_witness(complete_graph(3), 3, trials=300, seed=0, n=5, p=0.5)
         assert len(reports) == 300
         assert all(r.red_Ks_free for r in reports)
         assert any(r.blue_G_status == "absent" for r in reports)
@@ -233,63 +230,72 @@ class TestConstructWitness:
             assert flips == 3 * r.packing_size
 
     def test_absent_when_host_too_small(self):
-        params = ConstructParams(s=3, n_override=4, p_override=0.2,
-                                 trials=3, seed=1)
-        reports = construct_witness(params, complete_graph(10))
+        reports = construct_witness(complete_graph(10), 3, trials=3, seed=1, n=4, p=0.2)
         assert all(r.blue_G_status == "absent" for r in reports)
 
     def test_deterministic_and_thread_independent(self):
-        params = ConstructParams(s=3, n_override=12, p_override=0.3,
-                                 trials=12, seed=7)
+        flags = {"trials": 12, "seed": 7, "n": 12, "p": 0.3}
         g = complete_graph(3)
-        a = construct_witness(params, g, threads=1)
-        b = construct_witness(params, g, threads=4)
+        a = construct_witness(g, 3, **flags, threads=1)
+        b = construct_witness(g, 3, **flags, threads=4)
         assert a == b
         assert [r.trial_index for r in a] == list(range(12))
 
     def test_p0_reduces_to_find_copy(self):
         g = complete_graph(4)
-        params = ConstructParams(s=3, n_override=6, p_override=0.0,
-                                 trials=1, seed=0)
-        report = construct_witness(params, g)[0]
+        report = construct_witness(g, 3, trials=1, seed=0, n=6, p=0.0)[0]
         direct = find_copy(TwoColoring(6), "blue", g)
         assert (report.blue_G_status == "found") == (direct is not None)
 
     def test_derives_parameters_when_not_overridden(self):
         # Theorem 1's order at m = e(G) = 103,740.
-        params = ConstructParams(s=3, trials=1, seed=5)
-        report = construct_witness(params, union_of_cliques(10**5, 3))[0]
+        report = construct_witness(union_of_cliques(10**5, 3), 3, trials=1, seed=5)[0]
         assert report.coloring.n == 5
 
     def test_rejects_empty_graph(self):
-        params = ConstructParams(s=3, n_override=5, p_override=0.5,
-                                 trials=1, seed=0)
         with pytest.raises(InputError):
-            construct_witness(params, complete_graph(0))
+            construct_witness(complete_graph(0), 3, trials=1, seed=0, n=5, p=0.5)
 
     def test_params_validation(self):
+        g = complete_graph(3)
         with pytest.raises(InputError):
-            ConstructParams(s=2, trials=1, seed=0)
+            construct_witness(g, 2, trials=1, seed=0)
         with pytest.raises(InputError):
-            ConstructParams(s=3, trials=0, seed=0)
+            construct_witness(g, 3, trials=0, seed=0)
         with pytest.raises(InputError):
-            ConstructParams(s=3, p_override=1.5, trials=1, seed=0)
+            construct_witness(g, 3, trials=1, seed=0, p=1.5)
         with pytest.raises(InputError, match="n must be positive"):
-            ConstructParams(s=3, n_override=0)
+            construct_witness(g, 3, trials=1, seed=0, n=0)
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_rejects_node_budget_below_1(self, budget):
         with pytest.raises(InputError):
-            ConstructParams(s=3, trials=1, seed=0, node_budget=budget)
+            construct_witness(complete_graph(3), 3, trials=1, seed=0, node_budget=budget)
+
+    @pytest.mark.parametrize("flags, message", [
+        ({"s": 2}, "s must be at least 3"),
+        ({"trials": 0}, "trials must be positive"),
+        ({"p": 1.5}, r"p must lie in \[0, 1\]"),
+        ({"p": math.nan}, r"p must lie in \[0, 1\]"),
+        ({"n": 0}, "n must be positive"),
+        ({"node_budget": 0}, "node budget must be at least 1"),
+    ])
+    def test_flags_checked_before_any_trial(self, monkeypatch, flags, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a bad flag must be rejected before the first trial")
+
+        monkeypatch.setattr(construct, "run_trial", unreachable)
+        # Every other flag is valid, so the first check that fails is this one.
+        kwargs = {"s": 3, "trials": 1, "seed": 0, "n": 6, "p": 0.5, **flags}
+        with pytest.raises(InputError, match=message):
+            construct_witness(complete_graph(3), **kwargs)
 
     def test_order_cap(self, monkeypatch):
         monkeypatch.setattr(construct, "theorem1_parameters",
                             lambda s, m: (MAX_PARSE_ORDER + 1, 0.0))
-        for params in (ConstructParams(s=3, trials=1, seed=0),
-                       ConstructParams(s=3, n_override=MAX_PARSE_ORDER + 1,
-                                       p_override=0.0, trials=1, seed=0)):
+        for flags in ({}, {"n": MAX_PARSE_ORDER + 1, "p": 0.0}):
             with pytest.raises(CapacityError):
-                construct_witness(params, complete_graph(3))
+                construct_witness(complete_graph(3), 3, trials=1, seed=0, **flags)
 
 
 class TestTrialSeed:

@@ -9,6 +9,7 @@ from conftest import (
     naive_find_copy,
     naive_has_clique,
     naive_max_packing_size,
+    random_coloring_local,
     reference_greedy_packing,
     reference_max_packing,
 )
@@ -33,11 +34,6 @@ from ramseykit.graphs import (
 
 ALL_RED_K5 = coloring_from_red(5, complete_graph(5).edges)
 RED_C5 = coloring_from_red(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-
-
-def random_coloring_local(rng, n, q):
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return coloring_from_red(n, [p for p in pairs if rng.random() < q])
 
 
 class TestFindClique:

@@ -6,7 +6,7 @@ from conftest import random_bipartite_red_coloring, random_connected_graph
 from ramseykit import embed
 from ramseykit.detect import find_copy
 from ramseykit.embed import embed_general, embed_s3
-from ramseykit.errors import EmbedFailure, InputError
+from ramseykit.errors import ContractViolation, EmbedFailure, InputError
 from ramseykit.graphs import (
     Graph,
     TwoColoring,
@@ -67,6 +67,15 @@ class TestEmbedS3:
         col = coloring_from_red(6, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(InputError, match="triangle"):
             embed_s3(col, path_graph(2))
+
+    def test_red_pair_in_x_breaks_the_contract(self, monkeypatch):
+        # With the triangle check blinded, vertex 0 of the red triangle has
+        # X = {1, 2}, whose pair is red: the precondition the block argument
+        # needs is gone, so the embedder must stop rather than place.
+        monkeypatch.setattr(embed, "find_clique", lambda col, color, s: None)
+        col = coloring_from_red(3, [(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(ContractViolation, match="red pair inside the red neighborhood X"):
+            embed_s3(col, complete_graph(2))
 
     def test_rejects_small_host(self):
         with pytest.raises(InputError, match="host"):

@@ -529,8 +529,8 @@ TREE_PAIRS = {
 class TestClosedForm:
     """`_lower_bound` marks r(K2, G) = max(1, |V(G)|) and Chvátal's
     r(K_m, T) = (m - 1)(|T| - 1) + 1 exact, and ramsey_number answers them
-    without search when the value is below FIRST_ORDER_OVER_CAP; each value
-    must be the one the walk finds."""
+    without search when the value is at most MAX_ORDER; each value must be
+    the one the walk finds."""
 
     def test_k2_against_every_catalogue_pattern(self):
         K2 = complete_graph(2)

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from conftest import GRAPHS_UP_TO_3_EDGES, PINNED_PATTERNS, naive_has_pinned_copy
+from conftest import (
+    GRAPHS_UP_TO_3_EDGES,
+    PINNED_PATTERNS,
+    naive_has_pinned_copy,
+    random_coloring_local,
+)
 from ramseykit import exact
 from ramseykit.detect import _cliques, _pattern_plan, _place, find_clique, find_copy
 from ramseykit.errors import SearchBudgetExceeded
@@ -38,11 +43,6 @@ ORBIT_PATTERNS = {
     "K23": graph_from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
     "asym6": graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5), (1, 5)]),
 }
-
-
-def random_coloring_local(rng, n, q):
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return coloring_from_red(n, [p for p in pairs if rng.random() < q])
 
 
 def random_pattern(rng, max_vertices):
