@@ -34,7 +34,6 @@ _EXPORTS = {
         "find_clique",
         "find_copy",
         "max_edge_disjoint_packing",
-        "max_red_degree_vertex",
     ),
     "embed": ("embed_general", "embed_s3"),
     "errors": (

@@ -82,11 +82,19 @@ def cmd_construct(args) -> int:
 
     G = _load(args.G, parse_graph)
     out_dir = Path(args.out) if args.out else None
+    created = []
     if out_dir is not None:
         with _writing(out_dir):
+            created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
             out_dir.mkdir(parents=True, exist_ok=True)
-    reports = construct_witness(G, args.s, trials=args.trials, seed=args.seed, n=args.n,
-                                p=args.p, node_budget=args.node_budget, threads=args.threads)
+    try:
+        reports = construct_witness(G, args.s, trials=args.trials, seed=args.seed, n=args.n,
+                                    p=args.p, node_budget=args.node_budget, threads=args.threads)
+    except BaseException:
+        # A run that fails here leaves none of the directories it made.
+        for d in created:
+            d.rmdir()
+        raise
     trial_records = []
     for r in reports:
         # Every report field but the coloring, in field order.

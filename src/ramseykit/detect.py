@@ -2,8 +2,8 @@
 
 Everything here is a deterministic backtracking search over bitmask
 adjacency: clique finding, subgraph-isomorphism copies of a pattern graph,
-greedy/exact edge-disjoint clique packing, and degree extrema.  Scan orders
-are lexicographic throughout so results are reproducible without seeds.
+and greedy/exact edge-disjoint clique packing.  Scan orders are
+lexicographic throughout so results are reproducible without seeds.
 """
 from __future__ import annotations
 
@@ -422,15 +422,3 @@ def max_edge_disjoint_packing(col: TwoColoring, s: int,
         raise InputError(f"mode must be 'greedy' or 'exact', got {mode!r}")
     return CliquePacking(s=s, members=tuple(members))
 
-
-def max_red_degree_vertex(col: TwoColoring) -> tuple[int, int]:
-    """Vertex with maximum red degree, ties broken by smallest id."""
-    if col.n < 1:
-        raise InputError("coloring must have at least one vertex")
-    adj = col.red_adjacency_bits()
-    best_v, best_d = 0, adj[0].bit_count()
-    for v in range(1, col.n):
-        d = adj[v].bit_count()
-        if d > best_d:
-            best_v, best_d = v, d
-    return best_v, best_d

@@ -13,16 +13,20 @@ papered over.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 
-from .bitset import bits_of, iter_bits
-from .detect import EmbeddingMap, check_node_budget, find_clique, max_red_degree_vertex
+from .bitset import iter_bits
+from .detect import EmbeddingMap, check_node_budget, find_clique
 from .errors import ContractViolation, EmbedFailure, InputError, SearchBudgetExceeded
 from .graphs import Graph, TwoColoring, induced_coloring
 
 
-def _check_no_isolated(G: Graph):
-    if any(d == 0 for d in G.degrees()):
+def _check_no_isolated(G: Graph) -> list[int]:
+    """G's degrees, once none of them is 0."""
+    deg = G.degrees()
+    if 0 in deg:
         raise InputError("target graph must have no isolated vertices")
+    return deg
 
 
 def _revalidated(col: TwoColoring, G: Graph, assignment: dict[int, int]) -> EmbeddingMap:
@@ -33,18 +37,36 @@ def _revalidated(col: TwoColoring, G: Graph, assignment: dict[int, int]) -> Embe
     return emb
 
 
-def _greedy_place(red: list[int], host_mask: int, tmax: int, gadj: list[int],
-                  order: list[int], assignment: dict[int, int], used: int,
-                  failure: type[Exception]) -> int:
-    """Place `order` one by one on host vertices with no red edge to any
-    already-placed neighbor in the rows `gadj` of G; smallest feasible id wins.
+def _hub(red: list[int], mask: int) -> tuple[int, int]:
+    """The vertex of the nonempty `mask` with the most red neighbours inside
+    `mask`, ties to the smallest id, and that number of neighbours."""
+    best_v, best_d = -1, -1
+    for v in iter_bits(mask):
+        d = (red[v] & mask).bit_count()
+        if d > best_d:
+            best_v, best_d = v, d
+    return best_v, best_d
+
+
+def _greedy_place(red: list[int], host_mask: int, X: Sequence[int], tmax: int,
+                  gadj: list[int], deg: list[int], vertices: Iterable[int],
+                  assignment: dict[int, int], failure: type[Exception]) -> None:
+    """Park the highest-degree `vertices` of G on the ascending blue clique X
+    (degree-sorted to id-sorted), then place the rest in ascending id order,
+    each on the smallest free host vertex with no red edge to any
+    already-placed neighbor in the rows `gadj` of G.
 
     Asserts the availability bound from the degree argument: the number of
     host vertices free of red edges into the placed neighbor set Y is at
     least |host| - tmax * |Y|.
     """
+    by_degree = sorted(vertices, key=lambda v: (-deg[v], v))
+    used = 0
+    for g, w in zip(by_degree, X):
+        assignment[g] = w
+        used |= 1 << w
     host_size = host_mask.bit_count()
-    for v in order:
+    for v in sorted(by_degree[len(X):]):
         ys = [assignment[u] for u in iter_bits(gadj[v]) if u in assignment]
         bad = 0
         for y in ys:
@@ -58,19 +80,6 @@ def _greedy_place(red: list[int], host_mask: int, tmax: int, gadj: list[int],
         w = (cand & -cand).bit_length() - 1
         assignment[v] = w
         used |= 1 << w
-    return used
-
-
-def _place_high_degree(X: list[int], vertices: list[int], deg: list[int],
-                       assignment: dict[int, int], used: int) -> tuple[list[int], int]:
-    """Park the highest-degree vertices on X (degree-sorted to id-sorted),
-    returning the leftover vertices in ascending id order."""
-    by_degree = sorted(vertices, key=lambda v: (-deg[v], v))
-    parked = by_degree[: len(X)]
-    for g, w in zip(parked, sorted(X)):
-        assignment[g] = w
-        used |= 1 << w
-    return sorted(by_degree[len(X):]), used
 
 
 def embed_s3(col: TwoColoring, G: Graph) -> EmbeddingMap:
@@ -82,33 +91,25 @@ def embed_s3(col: TwoColoring, G: Graph) -> EmbeddingMap:
     """
     if find_clique(col, "red", 3) is not None:
         raise InputError("coloring contains a red triangle")
-    _check_no_isolated(G)
+    deg = _check_no_isolated(G)
     m = G.edge_count
     if col.n < 3 * m:
         raise InputError(f"host needs at least {3 * m} vertices, has {col.n}")
 
     red = col.red_adjacency_bits()
     gadj = G.adjacency_bits()
-    deg = [row.bit_count() for row in gadj]
     assignment: dict[int, int] = {}
     next_free = 0
     for comp in G.components():
         m_i = sum(deg[v] for v in comp) // 2
-        block = list(range(next_free, next_free + 3 * m_i))
+        block_mask = ((1 << 3 * m_i) - 1) << next_free
         next_free += 3 * m_i
-        block_mask = bits_of(block)
-
-        # Maximum red degree inside the block, ties to the smallest id.
-        t_of = [(red[v] & block_mask).bit_count() for v in block]
-        vstar = block[max(range(len(block)), key=lambda i: (t_of[i], -block[i]))]
+        vstar, t = _hub(red, block_mask)
         x_mask = red[vstar] & block_mask
         X = list(iter_bits(x_mask))
-        t = len(X)
         if any(red[x] & x_mask for x in X):
             raise ContractViolation("red pair inside the red neighborhood X")
-
-        rest, used = _place_high_degree(X, comp, deg, assignment, 0)
-        _greedy_place(red, block_mask, t, gadj, rest, assignment, used, ContractViolation)
+        _greedy_place(red, block_mask, X, t, gadj, deg, comp, assignment, ContractViolation)
 
     return _revalidated(col, G, assignment)
 
@@ -131,7 +132,7 @@ def embed_general(col: TwoColoring, G: Graph, s: int,
     check_node_budget(node_budget)
     if s == 3:
         return embed_s3(col, G)
-    _check_no_isolated(G)
+    deg = _check_no_isolated(G)
     if find_clique(col, "red", s) is not None:
         raise InputError(f"coloring contains a red clique of order {s}")
     if G.n > col.n:
@@ -148,9 +149,10 @@ def embed_general(col: TwoColoring, G: Graph, s: int,
         # range (or at m = 1, where ln m = 0) there is no descent.
         d = math.inf
 
-    vstar, dmax = max_red_degree_vertex(col)
+    red = col.red_adjacency_bits()
+    host_mask = (1 << col.n) - 1
+    vstar, dmax = _hub(red, host_mask)
     if dmax >= d:
-        red = col.red_adjacency_bits()
         sub, mapping = induced_coloring(col, iter_bits(red[vstar]))
         try:
             inner = embed_general(sub, G, s - 1, node_budget)
@@ -168,10 +170,8 @@ def embed_general(col: TwoColoring, G: Graph, s: int,
     if X is None:
         raise EmbedFailure(f"no blue {k}-clique exists in the coloring")
 
-    red = col.red_adjacency_bits()
     assignment: dict[int, int] = {}
-    rest, used = _place_high_degree(list(X), list(range(G.n)), G.degrees(), assignment, 0)
-    _greedy_place(red, (1 << col.n) - 1, dmax, G.adjacency_bits(), rest, assignment, used,
+    _greedy_place(red, host_mask, X, dmax, G.adjacency_bits(), deg, range(G.n), assignment,
                   EmbedFailure)
     return _revalidated(col, G, assignment)
 

@@ -28,6 +28,7 @@ from ramseykit.graphs import (
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 BIG = "1" + "0" * 400
+K3_TEXT = "p 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
 
 def load_schema(name: str) -> dict:
@@ -150,6 +151,38 @@ class TestConstruct:
         ])
         assert_one_error_line(code, out, err)
         assert err.startswith(f"error: cannot write {k3_file}: ")
+
+    @pytest.mark.parametrize("target, flags", [
+        (K3_TEXT, {"--s": "2"}),
+        (K3_TEXT, {"--trials": "0"}),
+        (K3_TEXT, {"--p": "1.5"}),
+        (K3_TEXT, {"--n": "0"}),
+        (K3_TEXT, {"--node-budget": "0"}),
+        # Without --n, an edgeless target and K2 (m <= e) have no Theorem 1 order.
+        ("p 3 0\n", {"--n": None, "--p": None}),
+        ("p 2 1\ne 1 2\n", {"--n": None, "--p": None}),
+    ], ids=["s-2", "trials-0", "p-1.5", "n-0", "node-budget-0", "edgeless", "K2"])
+    def test_rejected_flag_leaves_no_out_directory(self, capsys, tmp_path, target, flags):
+        g_file = tmp_path / "target.g"
+        g_file.write_text(target)
+        out_dir = tmp_path / "new" / "nested"
+        flags = {"--s": "3", "--G": str(g_file), "--n": "5", "--p": "0.5", "--trials": "1",
+                 "--seed": "0", "--out": str(out_dir), **flags}
+        argv = ["construct"] + [a for flag, value in flags.items() if value is not None
+                                for a in (flag, value)]
+        code, out, err = run(capsys, argv)
+        assert_one_error_line(code, out, err)
+        assert not (tmp_path / "new").exists()
+
+    def test_rejected_flag_keeps_an_existing_out_directory(self, capsys, k3_file, tmp_path):
+        out_dir = tmp_path / "existing"
+        out_dir.mkdir()
+        code, out, err = run(capsys, [
+            "construct", "--s", "2", "--G", k3_file, "--n", "5", "--p", "0.5",
+            "--trials", "1", "--seed", "0", "--out", str(out_dir),
+        ])
+        assert_one_error_line(code, out, err)
+        assert out_dir.is_dir() and not any(out_dir.iterdir())
 
 
 class TestEmbed:

@@ -21,7 +21,6 @@ from ramseykit.detect import (
     find_clique,
     find_copy,
     max_edge_disjoint_packing,
-    max_red_degree_vertex,
 )
 from ramseykit.errors import CapacityError, InputError, SearchBudgetExceeded
 from ramseykit.graphs import (
@@ -362,23 +361,6 @@ class TestPackingDecision:
     def test_invalid_inputs(self):
         with pytest.raises(CapacityError, match="exact packing capped at n <= 12"):
             _exact_packing(TwoColoring(13), 3, 1)
-
-
-class TestMaxRedDegree:
-    def test_all_blue(self):
-        assert max_red_degree_vertex(TwoColoring(5)) == (0, 0)
-
-    def test_red_star(self):
-        col = coloring_from_red(4, [(0, 2), (1, 2), (2, 3)])
-        assert max_red_degree_vertex(col) == (2, 3)
-
-    def test_tie_break(self):
-        col = coloring_from_red(4, [(0, 1), (2, 3)])
-        assert max_red_degree_vertex(col) == (0, 1)
-
-    def test_empty(self):
-        with pytest.raises(InputError):
-            max_red_degree_vertex(TwoColoring(0))
 
 
 class TestEmbeddingMap:

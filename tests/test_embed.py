@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import random_bipartite_red_coloring, random_connected_graph
 from ramseykit import embed
-from ramseykit.detect import find_copy
+from ramseykit.detect import EmbeddingMap, find_copy
 from ramseykit.embed import embed_general, embed_s3
 from ramseykit.errors import ContractViolation, EmbedFailure, InputError
 from ramseykit.graphs import (
@@ -15,6 +16,60 @@ from ramseykit.graphs import (
     graph_from_edges,
     path_graph,
 )
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts of the calls, by method name, that pass over all of a graph or
+    a coloring; the counting starts when the fixture is set up."""
+    counts = Counter()
+    for cls, name in [(Graph, "adjacency_bits"), (Graph, "degrees"), (Graph, "components"),
+                      (TwoColoring, "red_adjacency_bits"),
+                      (TwoColoring, "blue_adjacency_bits")]:
+        method = getattr(cls, name)
+
+        def counting(self, method=method, name=name):
+            counts[name] += 1
+            return method(self)
+
+        monkeypatch.setattr(cls, name, counting)
+    return counts
+
+
+class TestHub:
+    # The vertex with the most red neighbours inside the mask, ties to the
+    # smallest id: over the full mask it is the maximum red degree of K_n.
+    def test_all_blue(self):
+        assert embed._hub(TwoColoring(5).red_adjacency_bits(), 0b11111) == (0, 0)
+
+    def test_red_star(self):
+        col = coloring_from_red(4, [(0, 2), (1, 2), (2, 3)])
+        assert embed._hub(col.red_adjacency_bits(), 0b1111) == (2, 3)
+
+    def test_tie_break(self):
+        col = coloring_from_red(4, [(0, 1), (2, 3)])
+        assert embed._hub(col.red_adjacency_bits(), 0b1111) == (0, 1)
+
+    def test_block_mask(self):
+        # Vertex 0's red star lies outside the block {3, 4, 5, 6}, where the
+        # red path 3-4-5-6 gives 4 the most red neighbours.
+        col = coloring_from_red(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4), (4, 5), (5, 6)])
+        red = col.red_adjacency_bits()
+        assert embed._hub(red, 0b1111111) == (0, 4)
+        assert embed._hub(red, 0b1111000) == (4, 2)
+
+
+class TestGreedyPlace:
+    def test_availability_bound(self):
+        # G = K2 with vertex 0 parked on host 0.  Host 0's red edge to 1
+        # leaves 2 of the 3 hosts feasible for vertex 1, fewer than the
+        # 3 - tmax * 1 that a red degree bound of tmax = 0 promises.
+        red = coloring_from_red(3, [(0, 1)]).red_adjacency_bits()
+        g = complete_graph(2)
+        with pytest.raises(ContractViolation,
+                           match="^availability bound violated in greedy placement$"):
+            embed._greedy_place(red, 0b111, [0], 0, g.adjacency_bits(), g.degrees(), range(2),
+                                {}, EmbedFailure)
 
 
 class TestEmbedS3:
@@ -39,29 +94,18 @@ class TestEmbedS3:
         assert emb.validates(col, "blue")
         assert len(set(emb.assignment.values())) == 4
 
-    def test_whole_graph_passes_once_per_call(self, monkeypatch):
+    def test_whole_graph_passes_once_per_call(self, passes):
         # Each pass over all of G or of the coloring runs a fixed number of
         # times per call, not once per component, which would make the
         # embedding quadratic: 50 disjoint edges cost as many passes as one.
-        calls = []
-        passes = [(Graph, "adjacency_bits"), (Graph, "degrees"), (Graph, "components"),
-                  (TwoColoring, "red_adjacency_bits"), (TwoColoring, "blue_adjacency_bits")]
-        for cls, name in passes:
-            method = getattr(cls, name)
-
-            def counting(self, method=method, name=name):
-                calls.append(name)
-                return method(self)
-
-            monkeypatch.setattr(cls, name, counting)
-        counts = []
+        # The red rows are read by the triangle check and once for the blocks.
         for c in (1, 50):
-            calls.clear()
             g = graph_from_edges(2 * c, [(2 * i, 2 * i + 1) for i in range(c)])
             col = TwoColoring(3 * c)
+            passes.clear()
             assert embed_s3(col, g).validates(col, "blue")
-            counts.append(sorted(calls))
-        assert counts[0] == counts[1] and {"adjacency_bits", "components"} <= set(counts[0])
+            assert passes == {"red_adjacency_bits": 2, "degrees": 1, "adjacency_bits": 1,
+                              "components": 1}
 
     def test_rejects_red_triangle(self):
         col = coloring_from_red(6, [(0, 1), (0, 2), (1, 2)])
@@ -80,6 +124,11 @@ class TestEmbedS3:
     def test_rejects_small_host(self):
         with pytest.raises(InputError, match="host"):
             embed_s3(TwoColoring(5), path_graph(3))
+
+    def test_failed_revalidation_breaks_the_contract(self, monkeypatch):
+        monkeypatch.setattr(EmbeddingMap, "validates", lambda self, col, color: False)
+        with pytest.raises(ContractViolation, match="^embedding failed revalidation$"):
+            embed_s3(TwoColoring(6), path_graph(3))
 
     def test_rejects_isolated_vertices(self):
         g = graph_from_edges(3, [(0, 1)])
@@ -126,6 +175,22 @@ class TestEmbedGeneral:
         searched.clear()
         embed_general(coloring_from_red(10, [(0, i) for i in range(1, 10)]), path_graph(4), 4)
         assert searched == [4, 3]
+
+    def test_whole_graph_passes_once_per_call(self, passes):
+        # G's degrees come from the isolated-vertex check, and the red rows
+        # are read once by the red K4 check and once for the hub and the
+        # placement.
+        col = TwoColoring(12)
+        g = path_graph(3)
+        passes.clear()
+        assert embed_general(col, g, 4).validates(col, "blue")
+        assert passes == {"degrees": 1, "red_adjacency_bits": 2, "blue_adjacency_bits": 1,
+                          "adjacency_bits": 1}
+
+    def test_failed_revalidation_breaks_the_contract(self, monkeypatch):
+        monkeypatch.setattr(EmbeddingMap, "validates", lambda self, col, color: False)
+        with pytest.raises(ContractViolation, match="^embedding failed revalidation$"):
+            embed_general(TwoColoring(10), path_graph(6), 4)
 
     def test_all_blue_s4(self):
         g = path_graph(6)
