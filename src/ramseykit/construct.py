@@ -102,7 +102,7 @@ def _pair_plan(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, range], .
     return bits, tuple((u, bits[u], range(u + 1, n)) for u in range(n))
 
 
-def random_coloring(n: int, p: float, seed: int) -> TwoColoring:
+def random_coloring(n: int, p: float, seed: int, *, min_red: int = 0) -> TwoColoring | None:
     """Each of the n(n-1)/2 pairs is red independently with probability p.
 
     One uniform draw per pair, in lexicographic pair order, from the MT19937
@@ -113,6 +113,13 @@ def random_coloring(n: int, p: float, seed: int) -> TwoColoring:
     would seed a str from its per-process hash.  The vertex bits and pair
     rows of order n come from the `_pair_plan` cache, and each red draw sets
     its two bits of the red rows directly.
+
+    With `min_red` > 0 the draw is a floor: the coloring is returned only if
+    it has at least `min_red` red pairs, and otherwise None.  After each row,
+    and once before the first, the red pairs drawn so far plus the pairs
+    still to draw are compared with the floor, so the draw stops at the first
+    row after which it cannot be met.  A coloring that is returned is the
+    one drawn without the floor.
     """
     if n < 0:
         raise InputError("order must be non-negative")
@@ -120,6 +127,10 @@ def random_coloring(n: int, p: float, seed: int) -> TwoColoring:
         raise InputError("p must lie in [0, 1]")
     if not isinstance(seed, int):
         raise InputError("seed must be an integer")
+    # reach: the red pairs drawn so far plus the pairs still to draw.
+    reach = n * (n - 1) // 2
+    if reach < min_red:
+        return None
     draw = _random.Random(seed).random
     bits, plan = _pair_plan(n)
     rows = [0] * n
@@ -129,6 +140,12 @@ def random_coloring(n: int, p: float, seed: int) -> TwoColoring:
             if draw() < p:
                 row |= bits[v]
                 rows[v] |= bit
+        if min_red:
+            # Row u's new red bits are its bits above u; each other draw of
+            # the row was blue.
+            reach -= len(vs) - (row >> u).bit_count()
+            if reach < min_red:
+                return None
         rows[u] = row
     return TwoColoring._from_rows(rows)
 
@@ -258,13 +275,18 @@ def erdos_tetali_check(n: int, p: float, s: int, k: int, trials: int,
     of edge-disjoint red s-cliques in a random coloring and mu = C(n,s) *
     p^C(s,2) is the expected clique count.
 
-    Sample i is `random_coloring(n, p, trial_seed(seed, i))`, one call per
-    sample, with the seeds taken in order from one `_trial_seeds` stream (one
-    hash of the "seed:" prefix per call) and the order's bit table cached.
-    Each sample decides X0 >= k with `_exact_packing` at target k, which
-    stops at the k-th edge-disjoint clique instead of computing X0.  Deciding
-    is still an exact search in the worst case, so exact packing's order cap
-    is met after the argument checks and before the first sample is drawn.
+    Sample i is `random_coloring(n, p, trial_seed(seed, i), min_red=need)`,
+    one call per sample, with the seeds taken in order from one
+    `_trial_seeds` stream (one hash of the "seed:" prefix per call) and the
+    order's bit table cached.  k edge-disjoint s-cliques hold need =
+    k * C(s,2) distinct red pairs, so a sample whose draw stops below that
+    floor (None) is a miss; this is `_exact_packing`'s own red-pair exit,
+    taken before the rest of the pairs are drawn.  Every other sample decides
+    X0 >= k with `_exact_packing` at target k, which stops at the k-th
+    edge-disjoint clique instead of computing X0.  Deciding is still an exact
+    search in the worst case, so exact packing's order cap is met after the
+    argument checks, and the bound is computed after the cap, both before the
+    first sample is drawn: a bound that overflows ends the call at once.
     """
     if n < 0:
         raise InputError("n must be non-negative")
@@ -278,10 +300,11 @@ def erdos_tetali_check(n: int, p: float, s: int, k: int, trials: int,
         raise InputError("trials must be positive")
     check_exact_packing_order(n)
     mu = math.comb(n, s) * p ** math.comb(s, 2)
+    bound = (math.e * mu / k) ** k
+    need = k * math.comb(s, 2)
     hits = 0
     for sample_seed in _trial_seeds(seed, trials):
-        col = random_coloring(n, p, sample_seed)
-        if len(_exact_packing(col, s, k)) == k:
+        col = random_coloring(n, p, sample_seed, min_red=need)
+        if col is not None and len(_exact_packing(col, s, k)) == k:
             hits += 1
-    bound = (math.e * mu / k) ** k
     return hits / trials, bound

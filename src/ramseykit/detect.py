@@ -8,7 +8,6 @@ lexicographic throughout so results are reproducible without seeds.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
@@ -355,10 +354,14 @@ def _exact_packing(col: TwoColoring, s: int,
     before it is excluded.  Exits come first: with a target, fewer than
     k * C(s,2) red pairs, before any row is copied; then `cap`, the sum of
     floor(deg_red(v) / (s-1)) divided by s, as a member takes s - 1 red pairs
-    at each of its s vertices.  The goal is cap, or k.  The search starts
-    from the greedy packing cut to the goal, its own first leaf, and stops
-    once it holds the goal; a later leaf replaces the best only when larger,
-    so neither changes the members.  A branch is cut when its chosen cliques
+    at each of its s vertices.  The goal is cap, or k.  One pass over the
+    `_cliques` stream stores each clique with its pair mask and keeps the
+    greedy packing as it goes: a clique joins unless it shares a pair with
+    an earlier member, which is what `_greedy_packing` yields.  That packing
+    is the search's own first leaf, so the pass returns it as soon as it
+    reaches the goal.  Otherwise the search starts from it and stops once it
+    holds the goal; a later leaf replaces the best only when larger, so
+    neither changes the members.  A branch is cut when its chosen cliques
     and all later ones stay below `need` (one more than the best, or k).  As
     chosen cliques are edge-disjoint, the free pairs bound a packing only by
     red_count // C(s,2) >= cap, never tighter.  The stack is `chosen`: every
@@ -373,13 +376,24 @@ def _exact_packing(col: TwoColoring, s: int,
     goal = cap if target is None else target
     if goal > cap:
         return []
-    best = list(itertools.islice(_greedy_packing(list(adj), s), goal))
-    if len(best) == goal:
-        return best
-    cliques = list(_cliques(adj, (1 << n) - 1, s))
+    cliques: list[tuple[int, ...]] = []
     # Bit u * n + v of a mask stands for the pair (u, v), u < v.
-    masks = [sum(1 << (u * n + v) for u, v in itertools.combinations(member, 2))
-             for member in cliques]
+    masks: list[int] = []
+    best: list[tuple[int, ...]] = []
+    covered = 0
+    for member in _cliques(adj, (1 << n) - 1, s):
+        later = mask = 0
+        for u in reversed(member):
+            # later: the vertices of the member after u.
+            mask |= later << (u * n)
+            later |= 1 << u
+        cliques.append(member)
+        masks.append(mask)
+        if not mask & covered:
+            covered |= mask
+            best.append(member)
+            if len(best) == goal:
+                return best
     last, need = len(cliques), target or len(best) + 1
     chosen: list[int] = []
     used = i = 0

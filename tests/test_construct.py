@@ -132,6 +132,26 @@ class TestRandomColoring:
             assert col.red == frozenset(ref)
 
 
+    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_floor(self, n, p):
+        # The draw stops, returning None, exactly when the coloring drawn
+        # without a floor has fewer red pairs; otherwise it is that coloring.
+        pairs = n * (n - 1) // 2
+        for seed in (0, 1, 7, 12345, 2**64 - 1):
+            col = random_coloring(n, p, seed)
+            for floor in sorted({0, 1, math.floor(p * pairs), pairs, pairs + 1}):
+                got = random_coloring(n, p, seed, min_red=floor)
+                if col.red_count < floor:
+                    assert got is None, (seed, floor)
+                else:
+                    assert got == col, (seed, floor)
+            # Floors at and one above the red count straddle the answer.
+            for floor in (col.red_count, col.red_count + 1):
+                got = random_coloring(n, p, seed, min_red=floor)
+                assert (got is None) == (col.red_count < floor), (seed, floor)
+
+
 class TestRecolorPacking:
     def test_all_red_k4(self):
         col = coloring_from_red(4, complete_graph(4).edges)
@@ -388,7 +408,7 @@ class TestErdosTetali:
         assert empirical <= min(bound, 1.0) + 3 * sigma
 
     def test_cap(self, monkeypatch):
-        def unreachable(*args):
+        def unreachable(*args, **kwargs):
             raise AssertionError("an order above the cap must be rejected before drawing")
 
         monkeypatch.setattr(construct, "random_coloring", unreachable)
@@ -398,6 +418,16 @@ class TestErdosTetali:
         # The argument checks come before the cap.
         with pytest.raises(InputError, match="s must be at least 3"):
             erdos_tetali_check(13, 0.5, 2, 1, 10, 0)
+
+    def test_bound_before_the_first_draw(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the bound must be computed before drawing")
+
+        monkeypatch.setattr(construct, "random_coloring", unreachable)
+        # (e * 924 / 500)^500 overflows a float; 10^8 samples would take
+        # about 25 minutes to draw.
+        with pytest.raises(OverflowError):
+            erdos_tetali_check(12, 1.0, 6, 500, 10**8, 0)
 
     def test_rejects_negative_n(self):
         with pytest.raises(InputError):
@@ -432,11 +462,12 @@ class TestErdosTetali:
     def test_matches_reference_sampler(self, monkeypatch, n, p, k, trials, seed):
         calls = []
 
-        def spy(n, p, seed):
-            calls.append(seed)
-            return random_coloring(n, p, seed)
+        def spy(n, p, seed, *, min_red=0):
+            calls.append((seed, min_red))
+            return random_coloring(n, p, seed, min_red=min_red)
 
         monkeypatch.setattr(construct, "random_coloring", spy)
         got = erdos_tetali_check(n, p, 3, k, trials, seed)
-        assert calls == [trial_seed(seed, i) for i in range(trials)]
+        # k edge-disjoint triangles hold 3k red pairs: the floor of each draw.
+        assert calls == [(trial_seed(seed, i), 3 * k) for i in range(trials)]
         assert got == reference_erdos_tetali(n, p, 3, k, trials, seed, naive_max_packing_size)

@@ -12,6 +12,7 @@ from conftest import (
     random_coloring_local,
     reference_greedy_packing,
     reference_max_packing,
+    two_scan_exact_packing,
 )
 from ramseykit import detect
 from ramseykit.construct import recolor_packing
@@ -357,6 +358,22 @@ class TestPackingDecision:
                 members = _exact_packing(col, 3, k)
                 assert is_red_packing(col, 3, members)
                 assert len(members) == k if k <= x0 else len(members) < k
+
+    def test_matches_two_scan_definition(self):
+        # One pass keeps the greedy prefix and lists every clique; the
+        # greedy-then-search definition scans twice.  Both must give the same
+        # list at every target up to one past the per-vertex bound, and
+        # without one.
+        rng = random.Random(47)
+        cols = [coloring_from_red(n, complete_graph(n).edges) for n in range(1, 9)]
+        cols += [random_coloring_local(rng, rng.randint(1, 10), rng.uniform(0.2, 0.9))
+                 for _ in range(80)]
+        for col in cols:
+            for s in (3, 4):
+                cap = sum(row.bit_count() // (s - 1) for row in col.red_adjacency_bits()) // s
+                for k in (None, *range(1, cap + 2)):
+                    assert _exact_packing(col, s, k) == two_scan_exact_packing(col, s, k), (
+                        col.n, sorted(col.red), s, k)
 
     def test_invalid_inputs(self):
         with pytest.raises(CapacityError, match="exact packing capped at n <= 12"):
