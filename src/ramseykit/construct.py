@@ -161,7 +161,7 @@ def recolor_packing(col: TwoColoring, s: int) -> tuple[TwoColoring, CliquePackin
         raise InputError("s must be at least 3")
     rows = col.red_adjacency_bits()
     members = tuple(_greedy_packing(rows, s))
-    return TwoColoring._from_rows(rows), CliquePacking(s=s, members=members)
+    return TwoColoring._from_rows(rows), CliquePacking(members=members)
 
 
 def run_trial(G: Graph, s: int, n: int, p: float, trial_index: int, seed: int,
@@ -280,13 +280,13 @@ def erdos_tetali_check(n: int, p: float, s: int, k: int, trials: int,
     `_trial_seeds` stream (one hash of the "seed:" prefix per call) and the
     order's bit table cached.  k edge-disjoint s-cliques hold need =
     k * C(s,2) distinct red pairs, so a sample whose draw stops below that
-    floor (None) is a miss; this is `_exact_packing`'s own red-pair exit,
-    taken before the rest of the pairs are drawn.  Every other sample decides
-    X0 >= k with `_exact_packing` at target k, which stops at the k-th
-    edge-disjoint clique instead of computing X0.  Deciding is still an exact
-    search in the worst case, so exact packing's order cap is met after the
-    argument checks, and the bound is computed after the cap, both before the
-    first sample is drawn: a bound that overflows ends the call at once.
+    floor (None) is a miss, decided before the rest of the pairs are drawn.
+    Every other sample decides X0 >= k with `_exact_packing` at target k,
+    which stops at the k-th edge-disjoint clique instead of computing X0.
+    Deciding is still an exact search in the worst case, so exact packing's
+    order cap is met after the argument checks, and the bound is computed
+    after the cap, both before the first sample is drawn: a bound that
+    overflows ends the call at once.
     """
     if n < 0:
         raise InputError("n must be non-negative")

@@ -8,7 +8,7 @@ lexicographic throughout so results are reproducible without seeds.
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
@@ -37,7 +37,6 @@ def color_adjacency_bits(col: TwoColoring, color: Color) -> list[int]:
 class CliquePacking:
     """Family of pairwise edge-disjoint monochromatic s-cliques."""
 
-    s: int
     members: tuple[tuple[int, ...], ...]
 
     @property
@@ -351,49 +350,39 @@ def _exact_packing(col: TwoColoring, s: int,
     (`check_exact_packing_order`) is met, before any other work.
 
     Branch and bound over the cliques in lexicographic order, each included
-    before it is excluded.  Exits come first: with a target, fewer than
-    k * C(s,2) red pairs, before any row is copied; then `cap`, the sum of
-    floor(deg_red(v) / (s-1)) divided by s, as a member takes s - 1 red pairs
-    at each of its s vertices.  The goal is cap, or k.  One pass over the
-    `_cliques` stream stores each clique with its pair mask and keeps the
-    greedy packing as it goes: a clique joins unless it shares a pair with
-    an earlier member, which is what `_greedy_packing` yields.  That packing
-    is the search's own first leaf, so the pass returns it as soon as it
-    reaches the goal.  Otherwise the search starts from it and stops once it
-    holds the goal; a later leaf replaces the best only when larger, so
-    neither changes the members.  A branch is cut when its chosen cliques
-    and all later ones stay below `need` (one more than the best, or k).  As
-    chosen cliques are edge-disjoint, the free pairs bound a packing only by
-    red_count // C(s,2) >= cap, never tighter.  The stack is `chosen`: every
-    exclusion still to try is that of a chosen clique.
+    before it is excluded.  `cap` is the sum of floor(deg_red(v) / (s-1))
+    divided by s, as a member takes s - 1 red pairs at each of its s
+    vertices; the goal is cap, or k, and none fits past cap.  As that sum is
+    at most 2R / (s-1) for R red pairs, cap <= R // C(s,2), so no test on the
+    red-pair count could return earlier.  The greedy packing from
+    `_greedy_packing` is the search's first leaf: it is returned once it
+    reaches the goal, before any clique is listed.  Otherwise the search
+    starts from it and stops once it holds the goal; a later leaf replaces
+    the best only when larger, so neither changes the members.  A branch is
+    cut when its chosen cliques and all later ones stay below `need` (one
+    more than the best, or k).  The stack is `chosen`: every exclusion still
+    to try is that of a chosen clique.
     """
     n = col.n
     check_exact_packing_order(n)
-    if target is not None and col.red_count // math.comb(s, 2) < target:
-        return []
     adj = col.red_adjacency_bits()
     cap = sum(row.bit_count() // (s - 1) for row in adj) // s
     goal = cap if target is None else target
     if goal > cap:
         return []
-    cliques: list[tuple[int, ...]] = []
+    best = list(itertools.islice(_greedy_packing(list(adj), s), goal))
+    if len(best) == goal:
+        return best
+    cliques = list(_cliques(adj, (1 << n) - 1, s))
     # Bit u * n + v of a mask stands for the pair (u, v), u < v.
     masks: list[int] = []
-    best: list[tuple[int, ...]] = []
-    covered = 0
-    for member in _cliques(adj, (1 << n) - 1, s):
+    for member in cliques:
         later = mask = 0
         for u in reversed(member):
             # later: the vertices of the member after u.
             mask |= later << (u * n)
             later |= 1 << u
-        cliques.append(member)
         masks.append(mask)
-        if not mask & covered:
-            covered |= mask
-            best.append(member)
-            if len(best) == goal:
-                return best
     last, need = len(cliques), target or len(best) + 1
     chosen: list[int] = []
     used = i = 0
@@ -434,5 +423,5 @@ def max_edge_disjoint_packing(col: TwoColoring, s: int,
         members = _exact_packing(col, s)
     else:
         raise InputError(f"mode must be 'greedy' or 'exact', got {mode!r}")
-    return CliquePacking(s=s, members=tuple(members))
+    return CliquePacking(members=tuple(members))
 

@@ -9,7 +9,7 @@ import math
 import random
 
 from ramseykit.construct import trial_seed
-from ramseykit.detect import _cliques, _greedy_packing
+from ramseykit.detect import _greedy_packing
 from ramseykit.exact import find_witness
 from ramseykit.graphs import (
     Graph,
@@ -89,50 +89,6 @@ def reference_max_packing(col: TwoColoring, s: int) -> list[tuple[int, ...]]:
 def naive_max_packing_size(col: TwoColoring, s: int) -> int:
     """The maximum packing size X0, from `reference_max_packing`."""
     return len(reference_max_packing(col, s))
-
-
-def two_scan_exact_packing(col: TwoColoring, s: int,
-                           target: int | None = None) -> list[tuple[int, ...]]:
-    """Exact packing by its two-scan definition: the same exits, then the
-    greedy packing from `_greedy_packing` on a copy of the rows, cut to the
-    goal, and only when it falls short a second scan that lists every clique
-    for the include-before-exclude branch and bound.  `detect._exact_packing`
-    takes both from one pass over the cliques and must return the same
-    list."""
-    n = col.n
-    if target is not None and col.red_count // math.comb(s, 2) < target:
-        return []
-    adj = col.red_adjacency_bits()
-    cap = sum(row.bit_count() // (s - 1) for row in adj) // s
-    goal = cap if target is None else target
-    if goal > cap:
-        return []
-    best = list(itertools.islice(_greedy_packing(list(adj), s), goal))
-    if len(best) == goal:
-        return best
-    cliques = list(_cliques(adj, (1 << n) - 1, s))
-    masks = [sum(1 << (u * n + v) for u, v in itertools.combinations(member, 2))
-             for member in cliques]
-    last, need = len(cliques), target or len(best) + 1
-    chosen: list[int] = []
-    used = i = 0
-    while True:
-        if len(chosen) > len(best):
-            best = [cliques[j] for j in chosen]
-            if len(best) == goal:
-                return best
-            need = max(need, len(best) + 1)
-        if i < last and len(chosen) + last - i >= need:
-            if not masks[i] & used:
-                chosen.append(i)
-                used |= masks[i]
-            i += 1
-            continue
-        if not chosen:
-            return best
-        i = chosen.pop()
-        used ^= masks[i]
-        i += 1
 
 
 def reference_greedy_packing(col: TwoColoring, s: int) -> list[tuple[int, ...]]:

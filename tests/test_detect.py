@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from conftest import (
     random_coloring_local,
     reference_greedy_packing,
     reference_max_packing,
-    two_scan_exact_packing,
 )
 from ramseykit import detect
 from ramseykit.construct import recolor_packing
@@ -321,7 +321,7 @@ class TestPackingDecision:
         assert reaches_target(col, s, k) == (naive_max_packing_size(col, s) >= k)
 
     @pytest.mark.parametrize("n, red, s, k, want", [
-        # Exactly k * C(s,2) red pairs: the edge-count exit must not fire.
+        # Exactly k * C(s,2) red pairs, and cap = k: the exit must not fire.
         (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], 3, 2, True),
         (4, complete_graph(4).edges, 4, 1, True),
         # Enough pairs, but every two triangles of K_4 share an edge.
@@ -359,21 +359,36 @@ class TestPackingDecision:
                 assert is_red_packing(col, 3, members)
                 assert len(members) == k if k <= x0 else len(members) < k
 
-    def test_matches_two_scan_definition(self):
-        # One pass keeps the greedy prefix and lists every clique; the
-        # greedy-then-search definition scans twice.  Both must give the same
-        # list at every target up to one past the per-vertex bound, and
-        # without one.
-        rng = random.Random(47)
-        cols = [coloring_from_red(n, complete_graph(n).edges) for n in range(1, 9)]
-        cols += [random_coloring_local(rng, rng.randint(1, 10), rng.uniform(0.2, 0.9))
-                 for _ in range(80)]
+    @pytest.mark.parametrize("col, s, targets", [
+        # The greedy packing of all-red K_7 is the Fano packing, 7 = cap.
+        (coloring_from_red(7, complete_graph(7).edges), 3, (None, *range(1, 8))),
+        (random_coloring_local(random.Random(47), 12, 0.9), 3, (3,)),
+    ], ids=["all-red-K7", "dense-K12"])
+    def test_greedy_prefix_lists_no_clique(self, monkeypatch, col, s, targets):
+        # A greedy prefix that reaches the goal is returned before the clique
+        # list the branch and bound needs is built.
+        def no_listing(*args):
+            raise AssertionError("cliques listed although the greedy prefix reached the goal")
+
+        monkeypatch.setattr(detect, "_cliques", no_listing)
+        greedy = reference_greedy_packing(col, s)
+        for k in targets:
+            assert _exact_packing(col, s, k) == greedy[:k]
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5])
+    def test_vertex_bound_covers_the_pair_count(self, s):
+        # sum floor(deg/(s-1)) <= 2R/(s-1) for R red pairs, so the per-vertex
+        # bound never exceeds R // C(s,2): no target above that is reached.
+        rng = random.Random(53 + s)
+        cols = [coloring_from_red(n, complete_graph(n).edges) for n in range(13)]
+        cols += [random_coloring_local(rng, rng.randint(0, 12), rng.random())
+                 for _ in range(60)]
         for col in cols:
-            for s in (3, 4):
-                cap = sum(row.bit_count() // (s - 1) for row in col.red_adjacency_bits()) // s
-                for k in (None, *range(1, cap + 2)):
-                    assert _exact_packing(col, s, k) == two_scan_exact_packing(col, s, k), (
-                        col.n, sorted(col.red), s, k)
+            cap = sum(row.bit_count() // (s - 1) for row in col.red_adjacency_bits()) // s
+            most = col.red_count // math.comb(s, 2)
+            assert cap <= most, (col.n, sorted(col.red), s)
+            for k in range(most + 1, most + 4):
+                assert _exact_packing(col, s, k) == [], (col.n, sorted(col.red), s, k)
 
     def test_invalid_inputs(self):
         with pytest.raises(CapacityError, match="exact packing capped at n <= 12"):
