@@ -48,10 +48,19 @@ ramsey_number does not search the orders below L = `_lower_bound(H, G)`:
 every one of them has a witness, the larger of a Chvátal–Harary colouring
 (Chvátal and Harary, Pacific J. Math. 41, 1972) and a one-colour colouring,
 and the DFS starts at L.  It searches no order at all when a theorem makes L
-the value: a pattern without an edge, r(K_2, G) = max(1, |V(G)|), and
+the value: a pattern without an edge, r(K_2, G) = max(1, |V(G)|),
 Chvátal's r(K_m, T) = (m - 1)(|T| - 1) + 1 for a tree T (J. Graph Theory 1,
-1977), which is the Chvátal–Harary bound itself.  find_witness always
-searches, so it still proves the values the formulas give.
+1977), which is the Chvátal–Harary bound itself, and every pair of cycles
+C_m, C_k with 3 <= m <= k but (C_3, C_3) and (C_4, C_4), both 6 (Faudree
+and Schelp, Discrete Math. 8, 1974; Rosta, J. Combin. Theory B 15, 1973):
+
+- 2k - 1 for m odd;
+- k + m/2 - 1 for m and k even;
+- max(k + m/2 - 1, 2m - 1) for m even and k odd.
+
+For a cycle pair L is the theorem's value, not the order of a construction.
+find_witness always searches, so it still proves the values the formulas
+give.
 
 The lex check is fitted to the row-major edge order (0,1), (0,2), ..., (1,2),
 ....  When (u, v) is fixed, rows 0..u-1 are complete and row u is fixed up to
@@ -66,6 +75,7 @@ blue one is checked against the red neighbours y of o only.
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from .bitset import iter_bits
@@ -110,9 +120,42 @@ def _chromatic_floor(g: Graph) -> int:
     return 2
 
 
+def _cycle_length(g: Graph) -> int | None:
+    """k when g is the cycle C_k: k >= 3 vertices, k edges, every degree 2
+    and one component; None otherwise (2C_3, C_3 + C_4 and C_4 + K_1 are not
+    cycles)."""
+    if (g.n >= 3 and g.edge_count == g.n and set(g.degrees()) == {2}
+            and len(g.components()) == 1):
+        return g.n
+    return None
+
+
+def _cycle_ramsey(H: Graph, G: Graph) -> int | None:
+    """r(C_m, C_k) by the theorem of Faudree and Schelp (Discrete Math. 8,
+    1974) and Rosta (J. Combin. Theory B 15, 1973) when both patterns are
+    cycles, m <= k; None for any other pair and for the two exceptions
+    (C_3, C_3) and (C_4, C_4), whose value 6 no formula gives."""
+    lengths = _cycle_length(H), _cycle_length(G)
+    if None in lengths:
+        return None
+    m, k = sorted(lengths)
+    if m == k <= 4:
+        return None
+    if m % 2:
+        return 2 * k - 1
+    if k % 2:
+        return max(k + m // 2 - 1, 2 * m - 1)
+    return k + m // 2 - 1
+
+
 def _lower_bound(H: Graph, G: Graph) -> tuple[int, bool]:
     """(L, exact): every order below L has a witness, and exact says that L
-    is r(H, G).  L - 1 is the largest order one of these colourings reaches:
+    is r(H, G).
+
+    When both patterns are cycles, bar (C_3, C_3) and (C_4, C_4), L is
+    `_cycle_ramsey`'s value and exact: the theorem's value, not the order of
+    a construction.  Otherwise L - 1 is the largest order one of these
+    colourings reaches:
 
     - all blue on |V(G)| - 1 vertices, which has no blue G, and no red H when
       H has an edge or does not fit (|V(H)| >= |V(G)|); all red on |V(H)| - 1
@@ -129,6 +172,9 @@ def _lower_bound(H: Graph, G: Graph) -> tuple[int, bool]:
     colouring), when a pattern is K_2 (a witness is all one colour), and for
     K_m against a tree T, where CH(K_m, T) is Chvátal's value.
     """
+    cycles = _cycle_ramsey(H, G)
+    if cycles is not None:
+        return cycles, True
     orders, exact = [0], False
     for h, g in ((H, G), (G, H)):
         if h.edge_count or h.n >= g.n:
@@ -142,9 +188,11 @@ def _lower_bound(H: Graph, G: Graph) -> tuple[int, bool]:
     return 1 + max(orders), exact
 
 
-def _arc_orbit_plans(g: Graph) -> list[tuple[tuple[int, ...], ...]]:
-    """One placement order per arc orbit of g, stored as `_place` wants it:
-    the earlier neighbors of each position.
+@functools.lru_cache
+def _arc_orbit_plans(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """One placement order per arc orbit of the immutable pattern g, stored
+    as `_place` wants it: the earlier neighbors of each position.  Built once
+    per pattern.
 
     The representative of an orbit is its first arc (a, b) in sorted order,
     and its order is a, b, then the other vertices in the order of
@@ -158,7 +206,7 @@ def _arc_orbit_plans(g: Graph) -> list[tuple[tuple[int, ...], ...]]:
     for a, b in sorted([*g.edges, *((b, a) for a, b in g.edges)]):
         if not any(_place(bits, own, nbrs, None, [a, b]) is not None for nbrs in plans):
             plans.append(_pattern_plan(g, (a, b))[2])
-    return plans
+    return tuple(plans)
 
 
 def _pinned_check(g: Graph, n: int) -> Callable[[list[int], int, int], bool]:
@@ -177,7 +225,7 @@ def _pinned_check(g: Graph, n: int) -> Callable[[list[int], int, int], bool]:
         t = g.n - 2
         return lambda adj, u, v: next(_cliques(adj, adj[u] & adj[v], t), None) is not None
     masks = [(1 << n) - 1] * g.n
-    plans = _arc_orbit_plans(g) if g.n <= n else []
+    plans = _arc_orbit_plans(g) if g.n <= n else ()
 
     def has_copy(adj: list[int], u: int, v: int) -> bool:
         for nbrs in plans:

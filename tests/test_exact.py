@@ -267,6 +267,14 @@ class TestReducedChecks:
                     rows[v] &= ~(1 << u)
         assert outcomes == {False, True}
 
+    def test_arc_orbit_plans_built_once_per_pattern(self):
+        # (C4, C4) is walked, and each level builds its pinned checks afresh;
+        # the second walk takes every plan from the cache.
+        ramsey_number(C4, C4, 6)
+        misses = exact._arc_orbit_plans.cache_info().misses
+        assert ramsey_number(C4, C4, 6) == 6
+        assert exact._arc_orbit_plans.cache_info().misses == misses
+
 
 class TestDegreeCaps:
     """find_witness refuses an edge that gives a vertex more red neighbours
@@ -461,7 +469,7 @@ class TestChvatalHararyStart:
                 assert ramsey_number(A, B, r) == reference_ramsey_number(A, B, r) == r
 
     @pytest.mark.parametrize("H, G, visited", [
-        (K3, cycle_graph(5), [9]), (K3, K3, [5, 6]), (C4, complete_graph(4), [10]),
+        (K3, SB_PATTERNS["K4-e"], [7]), (K3, K3, [5, 6]), (C4, complete_graph(4), [10]),
         # All blue K5 holds neither K3 nor 3K2, so the walk from 1 would
         # search [3, ..., 7].  r(4K2, 3K2) = 10 (Cockayne and Lorimer), and
         # all red K7 holds no red 4K2.
@@ -526,11 +534,18 @@ TREE_PAIRS = {
 }
 
 
+# r(C_m, C_k) <= 9 by the theorem of Faudree and Schelp (Discrete Math. 8,
+# 1974) and Rosta (J. Combin. Theory B 15, 1973), m <= k.
+CYCLE_PAIRS = [(3, 4, 7), (3, 5, 9), (4, 5, 7), (4, 6, 7), (4, 7, 8), (4, 8, 9),
+               (5, 5, 9), (6, 6, 8)]
+
+
 class TestClosedForm:
-    """`_lower_bound` marks r(K2, G) = max(1, |V(G)|) and Chvátal's
-    r(K_m, T) = (m - 1)(|T| - 1) + 1 exact, and ramsey_number answers them
+    """`_lower_bound` marks r(K2, G) = max(1, |V(G)|), Chvátal's
+    r(K_m, T) = (m - 1)(|T| - 1) + 1 and the cycle pairs' r(C_m, C_k)
+    (Faudree and Schelp; Rosta) exact, and ramsey_number answers them
     without search when the value is at most MAX_ORDER; each value must be
-    the one the walk finds."""
+    the one the search proves."""
 
     def test_k2_against_every_catalogue_pattern(self):
         K2 = complete_graph(2)
@@ -556,8 +571,9 @@ class TestClosedForm:
                 assert walked(K, T, 11) == walked(T, K, 11) == want, T
 
     def test_no_shortcut_off_trees(self, monkeypatch):
-        # Forests, a tree plus K1 and cycles are walked.  K3+K1 has |V| - 1
-        # edges but is not connected.
+        # Forests, a tree plus K1, and K4 against cycles are walked.  K3+K1
+        # has |V| - 1 edges but is not connected.  K3 against a cycle is a
+        # cycle pair (test_cycle_pairs).
         lower_bound, results = exact._lower_bound, {}
 
         def recorded(H, G):
@@ -570,14 +586,56 @@ class TestClosedForm:
             "3K2": THREE_K2, "K2+K1": WITH_ISOLATED["K2+K1"],
             "P3+K1": WITH_ISOLATED["P3+K1"], "K13+K1": WITH_ISOLATED["K13+K1"],
             "K3+K1": WITH_ISOLATED["K3+K1"],
-            "C4": C4, "C5": cycle_graph(5),
         }
-        for K in (K3, complete_graph(4)):
-            for g, G in others.items():
+        cycles = {"C4": C4, "C5": cycle_graph(5)}
+        for K, patterns in ((K3, others), (complete_graph(4), {**others, **cycles})):
+            for g, G in patterns.items():
                 for A, B in ((K, G), (G, K)):
                     results.clear()
                     assert ramsey_number(A, B, 8) == walked(A, B, 8), g
                     assert results[A, B][1] is False, g
+
+    @pytest.mark.parametrize("m, k, r", CYCLE_PAIRS)
+    def test_cycle_pairs(self, monkeypatch, m, k, r):
+        search = exact.find_witness
+        for A, B in ((cycle_graph(m), cycle_graph(k)), (cycle_graph(k), cycle_graph(m))):
+            assert exact._lower_bound(A, B) == (r, True)
+
+            def unsearched(n, *patterns):
+                assert patterns != (A, B), f"searched K_{n}"
+                return search(n, *patterns)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(exact, "find_witness", unsearched)
+                assert ramsey_number(A, B, 11) == r
+            # ramsey_number no longer searches these; find_witness must still
+            # settle both levels.
+            witness = find_witness(r - 1, A, B)
+            assert witness is not None and is_witness(witness, A, B)
+            assert find_witness(r, A, B) is None
+
+    def test_no_shortcut_off_cycles(self):
+        # The theorem's two exceptions are walked and give 6.
+        for C in (K3, C4):
+            assert exact._lower_bound(C, C)[1] is False
+            assert ramsey_number(C, C, 8) == walked(C, C, 8) == 6
+        # Two 2-regular patterns with two components, and a cycle beside an
+        # isolated vertex: not cycles.
+        not_cycles = {
+            "2C3": DISCONNECTED["2K3"],
+            "C3+C4": graph_from_edges(7, [(0, 1), (1, 2), (0, 2),
+                                          (3, 4), (4, 5), (5, 6), (3, 6)]),
+            "C4+K1": graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+        }
+        for g, G in not_cycles.items():
+            for C in (K3, C4, cycle_graph(5)):
+                assert exact._lower_bound(C, G)[1] is exact._lower_bound(G, C)[1] is False, g
+        # Known values above MAX_ORDER are walked and stop at K_12.
+        for A, B, r in ((K3, cycle_graph(7), 13), (cycle_graph(10), cycle_graph(10), 14)):
+            assert exact._lower_bound(A, B) == exact._lower_bound(B, A) == (r, True)
+            assert ramsey_number(A, B, 10) is None
+            with pytest.raises(CapacityError, match="^K_12 has 66 edges"):
+                ramsey_number(A, B, 12)
 
     def test_value_above_cap(self):
         K2 = complete_graph(2)
