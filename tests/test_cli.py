@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -35,10 +37,18 @@ def load_schema(name: str) -> dict:
     return json.loads((SCHEMA_DIR / name).read_text())
 
 
-def run(capsys, argv) -> tuple[int, str, str]:
+def run(capsys, argv, within=None) -> tuple[int, str, str]:
+    """Run the CLI in-process; `within` bounds the seconds the call may take."""
+    start = time.perf_counter()
     code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert within is None or elapsed < within, f"{argv} took {elapsed:.1f} s"
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def md5(out: str) -> str:
+    return hashlib.md5(out.encode()).hexdigest()
 
 
 @pytest.fixture
@@ -81,14 +91,15 @@ class TestBounds:
     def test_edgeless_graph_exits_2(self, capsys, tmp_path, n):
         graph = tmp_path / f"e{n}.g"
         graph.write_text(f"p {n} 0\n")
-        code, out, err = run(capsys, ["bounds", "--s", "3", "--m", "10", "--graph", str(graph)])
+        code, out, err = run(capsys, ["bounds", "--s", "3", "--m", "10", "--graph", str(graph)],
+                             within=10)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--m", "--k", "--t", "--s"])
     def test_integer_too_large_for_a_float_exits_2(self, capsys, flag):
         flags = {"--s": "3", "--m": "1000", flag: "1" + "0" * 400}
-        code, out, err = run(capsys, ["bounds", *itertools.chain(*flags.items())])
+        code, out, err = run(capsys, ["bounds", *itertools.chain(*flags.items())], within=10)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -130,6 +141,20 @@ class TestConstruct:
         _, out4, _ = run(capsys, flags + ["--threads", "4"])
         assert out1 == out2 == out4
 
+    @pytest.mark.parametrize("threads", [[], ["--threads", "4"]], ids=["threads-1", "threads-4"])
+    def test_seed_7_witness_trials(self, capsys, input_files, threads):
+        # The seed-7 trials on K_5 at p = 0.5 leave no blue K3 (a witness for
+        # r(K3, K3) > 5) at trials 28 and 48, and pack 83 red triangles in all.
+        code, out, _ = run(capsys, [
+            "construct", "--s", "3", "--G", input_files["k3"], "--n", "5", "--p", "0.5",
+            "--trials", "100", "--seed", "7", *threads,
+        ], within=60)
+        reports = json.loads(out)["reports"]
+        assert code == 0
+        assert [r["trial_index"] for r in reports if r["blue_G_status"] == "absent"] == [28, 48]
+        assert sum(r["packing_size"] for r in reports) == 83
+        assert md5(out) == "867e9ac862bb1ad19213069b6d382c31"
+
     def test_bad_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.g"
         bad.write_text("p 3 1\ne 1 5\n")
@@ -148,7 +173,7 @@ class TestConstruct:
         code, out, err = run(capsys, [
             "construct", "--s", "3", "--G", k3_file, "--n", "5", "--p", "0.5",
             "--trials", "1", "--seed", "0", "--out", k3_file,
-        ])
+        ], within=10)
         assert_one_error_line(code, out, err)
         assert err.startswith(f"error: cannot write {k3_file}: ")
 
@@ -170,7 +195,7 @@ class TestConstruct:
                  "--seed": "0", "--out": str(out_dir), **flags}
         argv = ["construct"] + [a for flag, value in flags.items() if value is not None
                                 for a in (flag, value)]
-        code, out, err = run(capsys, argv)
+        code, out, err = run(capsys, argv, within=10)
         assert_one_error_line(code, out, err)
         assert not (tmp_path / "new").exists()
 
@@ -236,6 +261,16 @@ class TestEmbed:
         assert (data["status"], data["reason"]) == (
             "failed", "greedy placement ran out of feasible host vertices")
 
+    def test_blue_triangle_beside_a_red_c6(self, capsys, input_files):
+        # A host on 3 e(K3) = 9 vertices with a red C6 on 1-6: vertex 1 has the
+        # largest red degree, its red neighbours 2 and 6 take two vertices of
+        # K3, and the third goes on 4, the first with no red edge to either.
+        code, out, _ = run(capsys, [
+            "embed", "--coloring", input_files["c6red.col"], "--G", input_files["k3"], "--s", "3",
+        ], within=60)
+        assert code == 0
+        assert md5(out) == "b5ab934dcd74675a6cc50bcf33d828ec"
+
     @pytest.mark.parametrize("argv, same_as", [
         # m^((s-2)/2) with m = 5: about 10^348 at s = 1000.
         pytest.param(["--coloring", "c8", "--G", "p6", "--s", "1000"], "4", id="embed-s-1000"),
@@ -277,11 +312,22 @@ class TestPack:
                 coloring_from_red(n, complete_graph(n).edges)))
             code, out, _ = run(capsys, [
                 "pack", "--coloring", str(col_file), "--s", "3", "--exact",
-            ])
+            ], within=60)
             assert code == 0
             data = json.loads(out)
             jsonschema.validate(data, load_schema("pack.schema.json"))
             assert data["size"] == n * ((n - 1) // 2) // 3 - (n % 6 == 5), n
+
+    def test_branch_and_bound_beyond_the_greedy_prefix(self, capsys, input_files):
+        # The greedy packing stops at 2 members (012, 235); only the branch
+        # and bound finds 013, 124, 235.
+        six = ["pack", "--coloring", input_files["six.col"], "--s", "3"]
+        code, out, _ = run(capsys, six, within=60)
+        assert code == 0 and json.loads(out)["size"] == 2
+        code, out, _ = run(capsys, [*six, "--exact"], within=60)
+        assert code == 0
+        assert json.loads(out)["members"] == [[0, 1, 3], [1, 2, 4], [2, 3, 5]]
+        assert md5(out) == "850575068275f73c2083c7a077859b01"
 
 
 class TestExact:
@@ -328,9 +374,37 @@ class TestExact:
         k2, p13 = tmp_path / "k2.g", tmp_path / "p13.g"
         k2.write_text(serialize_graph(complete_graph(2)))
         p13.write_text(serialize_graph(path_graph(13)))
-        code, out, _ = run(capsys, ["exact", "--H", str(k2), "--G", str(p13), "--cap", "12"])
-        assert code == 2
-        assert out == ""
+        code, out, err = run(capsys, ["exact", "--H", str(k2), "--G", str(p13), "--cap", "12"],
+                             within=10)
+        assert_one_error_line(code, out, err)
+
+    @pytest.mark.parametrize("H, G, cap, ramsey, within", [
+        # Cycle pairs (Faudree and Schelp; Rosta): 2k - 1 when the shorter
+        # cycle is odd, k + m/2 - 1 when both are even.  Walking K_8 to K_11
+        # for C8-C8 takes seconds, past its bound.
+        ("k3", "c6.g", "11", 11, 60),
+        ("c8.g", "c8.g", "11", 11, 3),
+        # Searched (Radziszowski, EJC DS1); K4's red degree cap needs
+        # r(K3, C4) = 7, which the cycle formula gives.
+        ("k4.g", "c4.g", "10", 10, 60),
+        # Chvátal: r(K_m, T) = (m - 1)(|T| - 1) + 1.
+        ("k3", "p6", "11", 11, 60),
+        ("k4.g", "p4", "11", 10, 60),
+        # Cockayne and Lorimer: r(mK2, nK2) = 2m + n - 1.
+        ("3k2.g", "2k2.g", "11", 7, 60),
+        # All-blue K5 holds neither pattern, so the search starts at 6.
+        ("k3", "3k2.g", None, 7, 60),
+        # An edgeless pattern, without search; an isolated vertex: all-red
+        # K3 has no red K3+K1, and every coloring of K4 has one or a blue edge.
+        ("k2.g", "e3.g", None, 3, 60),
+        ("k3k1.g", "k2.g", None, 4, 60),
+    ], ids=["K3-C6", "C8-C8", "K4-C4", "K3-P6", "K4-P4", "3K2-2K2", "K3-3K2", "K2-3K1",
+            "K3+K1-K2"])
+    def test_known_values(self, capsys, input_files, H, G, cap, ramsey, within):
+        argv = ["exact", "--H", input_files[H], "--G", input_files[G]]
+        code, out, _ = run(capsys, [*argv, *(["--cap", cap] if cap else [])], within=within)
+        assert code == 0
+        assert json.loads(out) == {"ramsey": ramsey}
 
 
 class TestGenUnion:
@@ -352,14 +426,14 @@ class TestGenUnion:
     def test_order_above_parse_cap_exits_2(self, capsys, m, s):
         # 17,110 and about 6.6 * 10^7 vertices.  The cap is checked before any
         # edge is built: m = 10^12 would ask for about 10^12 edges.
-        code, out, err = run(capsys, ["gen-union", "--m", str(m), "--s", str(s)])
-        assert code == 2
-        assert out == ""
+        code, out, err = run(capsys, ["gen-union", "--m", str(m), "--s", str(s)], within=10)
+        assert_one_error_line(code, out, err)
         assert "cap of 10000" in err
 
     def test_out_in_a_missing_directory_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "dir" / "g.txt"
-        code, out, err = run(capsys, ["gen-union", "--m", "10", "--s", "3", "--out", str(target)])
+        code, out, err = run(capsys, ["gen-union", "--m", "10", "--s", "3", "--out", str(target)],
+                             within=10)
         assert_one_error_line(code, out, err)
         assert err.startswith(f"error: cannot write {target}: ")
         assert not target.parent.exists()
@@ -385,6 +459,22 @@ class TestStats:
         data = json.loads(out)
         jsonschema.validate(data, load_schema("stats_erdos_tetali.schema.json"))
         assert data["empirical"] == 1.0
+
+    @pytest.mark.parametrize("n, p, k, empirical, digest", [
+        # 127 of the 2000 seed-7 colorings of K_8 at p = 0.3 pack 3
+        # edge-disjoint red triangles.
+        ("8", "0.3", "3", 0.0635, None),
+        # 5 triangles need 15 red pairs: 238 of the draws of K_9 fall below
+        # that floor and return no coloring, and 788 samples pack 5.
+        ("9", "0.5", "5", 0.394, "77a9bf2d4798faab709162f64bd4d641"),
+    ], ids=["n8-p0.3-k3", "n9-p0.5-k5"])
+    def test_erdos_tetali_seed_7(self, capsys, n, p, k, empirical, digest):
+        code, out, _ = run(capsys, [
+            "stats", "erdos-tetali", "--n", n, "--p", p, "--s", "3", "--k", k,
+            "--trials", "2000", "--seed", "7",
+        ], within=60)
+        assert code == 0 and json.loads(out)["empirical"] == empirical
+        assert digest is None or md5(out) == digest
 
 
 def test_erdos_tetali_all_red_k12_is_refuted_quickly():
@@ -511,7 +601,7 @@ class TestStatsInputErrors:
         code, out, err = run(capsys, [
             "stats", "erdos-tetali", "--n", "13", "--p", "0.5", "--s", "3",
             "--k", "1", "--trials", "1", "--seed", "0",
-        ])
+        ], within=10)
         assert (code, out, err) == (2, "", "error: exact packing capped at n <= 12\n")
 
 
@@ -604,7 +694,9 @@ def assert_one_error_line(code: int, out: str, err: str) -> None:
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
     """K3, P4, P6 and P21 graph files, an empty file, a red C8 coloring, an
-    all-blue K70 and a file that is not UTF-8."""
+    all-blue K70, a file that is not UTF-8, and the literal texts behind the
+    pinned outputs, named `<name>.g` for a graph and `<name>.col` for a
+    coloring."""
     root = tmp_path_factory.mktemp("inputs")
     texts = {
         "k3": serialize_graph(complete_graph(3)),
@@ -614,6 +706,17 @@ def input_files(tmp_path_factory):
         "empty": "",
         "c8": serialize_coloring(coloring_from_red(8, cycle_graph(8).edges)),
         "k70": serialize_coloring(coloring_from_red(70, [])),
+        "k2.g": "p 2 1\ne 1 2\n",
+        "e3.g": "p 3 0\n",
+        "k4.g": "p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n",
+        "c4.g": "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n",
+        "c6.g": "p 6 6\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\ne 1 6\n",
+        "c8.g": "p 8 8\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\ne 6 7\ne 7 8\ne 1 8\n",
+        "3k2.g": "p 6 3\ne 1 2\ne 3 4\ne 5 6\n",
+        "2k2.g": "p 4 2\ne 1 2\ne 3 4\n",
+        "k3k1.g": "p 4 3\ne 1 2\ne 1 3\ne 2 3\n",
+        "c6red.col": "n 9\nr 1 2\nr 2 3\nr 3 4\nr 4 5\nr 5 6\nr 1 6\n",
+        "six.col": "n 6\nr 1 2\nr 1 3\nr 2 3\nr 1 4\nr 2 4\nr 2 5\nr 3 5\nr 3 4\nr 3 6\nr 4 6\n",
     }
     for name, text in texts.items():
         (root / name).write_text(text)
@@ -650,10 +753,17 @@ class TestOneErrorLine:
         pytest.param(["pack", "--coloring", "not-utf8", "--s", "3"], id="pack-coloring-not-utf8"),
         pytest.param(["bounds", "--s", "3", "--m", "10", "--graph", "not-utf8"],
                      id="bounds-graph-not-utf8"),
+        pytest.param(["bounds", "--s", "x"], id="argparse-invalid-int-alone"),
+        # The tail bound and the n <= 12 cap are checked before the first
+        # draw: 10^8 samples, or one coloring of K_10000 (about 16 s), never start.
+        pytest.param(["stats", "erdos-tetali", "--n", "12", "--p", "1", "--s", "6", "--k", "500",
+                      "--trials", "100000000", "--seed", "0"], id="erdos-tetali-s6-k500-1e8-trials"),
+        pytest.param(["stats", "erdos-tetali", "--n", "10000", "--p", "0.5", "--s", "3", "--k", "1",
+                      "--trials", "1", "--seed", "0"], id="erdos-tetali-n-10000"),
     ])
     def test_bad_input_returns_2(self, capsys, input_files, argv):
         argv = [input_files.get(a, a) for a in argv]
-        assert_one_error_line(*run(capsys, argv))
+        assert_one_error_line(*run(capsys, argv, within=10))
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
