@@ -50,9 +50,7 @@ _EXPORTS = {
         "Graph",
         "TwoColoring",
         "complete_graph",
-        "coloring_from_red",
         "cycle_graph",
-        "graph_from_edges",
         "induced_coloring",
         "parse_coloring",
         "parse_graph",

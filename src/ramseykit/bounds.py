@@ -68,8 +68,10 @@ def evaluate_all(
 
     def add(name: str, family: str, role: str, inputs: dict[str, float],
             value: float, caveat: str = ASYMPTOTIC_CAVEAT):
-        if not (math.isfinite(value) and value > 0):
-            raise InputError(f"report {name} evaluated to a non-positive value")
+        # Every base is above 1 and a `**` that overflows raises, so the one
+        # value out of range is the +inf of a float quotient that overflowed.
+        if not math.isfinite(value):
+            raise OverflowError(f"report {name} overflows a float")
         reports.append(BoundReport(name, family, role, inputs, value, caveat))
 
     add(

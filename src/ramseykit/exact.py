@@ -81,7 +81,7 @@ from typing import Callable
 from .bitset import iter_bits
 from .detect import _cliques, _pattern_plan, _place, find_copy
 from .errors import CapacityError, InputError
-from .graphs import Graph, TwoColoring, graph_from_edges
+from .graphs import Graph, TwoColoring
 
 # The highest order find_witness searches; the edges of its K_n are the edge cap.
 MAX_ORDER = 11
@@ -263,8 +263,8 @@ def _without_dominating_vertex(g: Graph) -> Graph | None:
     full = (1 << g.n) - 1
     for x, row in enumerate(g.adjacency_bits()):
         if row | 1 << x == full:
-            return graph_from_edges(g.n - 1, ((a - (a > x), b - (b > x))
-                                              for a, b in g.edges if x != a and x != b))
+            return Graph(g.n - 1, [(a - (a > x), b - (b > x))
+                                   for a, b in g.edges if x != a and x != b])
     return None
 
 

@@ -1,13 +1,13 @@
 """Graph and coloring data model, densities, extremal builders, file formats.
 
-Graphs are simple and undirected with contiguous 0-based vertex ids; edges are
-stored as normalized pairs (u, v) with u < v, next to their adjacency bitmask
-rows, both built by the pair validator that a coloring also uses.  A
-TwoColoring is a red/blue partition of all edges of K_n: its red adjacency
-bitmask rows are stored and blue is the exact complement.  The red pair set
-is derived from the rows only for callers outside the package.  Densities are
-exact rationals so that comparisons feeding the exponent formulas never suffer
-float noise.
+Graphs are simple and undirected with contiguous 0-based vertex ids.  Both
+constructors, `Graph(n, edges)` and `TwoColoring(n, red)`, take pairs in
+either order and go through one pair validator, which stores each pair as
+(u, v) with u < v and builds the adjacency bitmask rows.  A Graph keeps its
+edges and rows.  A TwoColoring is a red/blue partition of all edges of K_n:
+only its red rows are stored, blue is the exact complement, and the red pair
+set is derived from the rows on first read.  Densities are exact rationals so
+that comparisons feeding the exponent formulas never suffer float noise.
 """
 from __future__ import annotations
 
@@ -36,24 +36,25 @@ def _normalize_pair(u: int, v: int) -> Pair:
 # ---------------------------------------------------------------------------
 
 def _pairs_and_rows(n: int, pairs: Iterable[Pair]) -> tuple[frozenset[Pair], tuple[int, ...]]:
-    """The pairs as a frozenset of int pairs, and the adjacency rows they give
-    on K_n: bit v of row u is set iff {u, v} is a pair.  Rejects a negative
-    order, a vertex id that is not an integer, a self-loop and a pair that is
-    not u < v within 0..n-1."""
+    """The pairs as a frozenset of (u, v) with u < v, and the adjacency rows
+    they give on K_n: bit v of row u is set iff {u, v} is a pair.  A pair may
+    come in either order, and (u, v) and (v, u) are the same pair.  Rejects a
+    negative order, a vertex id that is not an integer, a self-loop and an id
+    outside 0..n-1."""
     from operator import index
 
     if n < 0:
         raise InputError("order must be non-negative")
     try:
-        pairs = frozenset((index(u), index(v)) for u, v in pairs)
+        pairs = frozenset(_normalize_pair(index(u), index(v)) for u, v in pairs)
     except TypeError as exc:
         raise InputError(f"vertex ids must be integers: {exc}") from exc
     rows = [0] * n
     for u, v in pairs:
         if u == v:
             raise InputError(f"self-loop at vertex {u}")
-        if not (0 <= u < v < n):
-            raise InputError(f"pair ({u}, {v}) not normalized within 0..{n - 1}")
+        if not (0 <= u and v < n):
+            raise InputError(f"pair ({u}, {v}) outside 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return pairs, tuple(rows)
@@ -105,11 +106,6 @@ class Graph:
         return comps
 
 
-def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph, normalizing pair order and rejecting self-loops."""
-    return Graph(n, frozenset(_normalize_pair(u, v) for u, v in pairs))
-
-
 def complete_graph(n: int) -> Graph:
     return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
@@ -121,7 +117,7 @@ def path_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InputError("cycle needs at least 3 vertices")
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(leaves: int) -> Graph:
@@ -133,13 +129,13 @@ def star_graph(leaves: int) -> Graph:
 class TwoColoring:
     """Red/blue coloring of the edges of K_n.
 
-    The red adjacency rows are the canonical state: bit v of row u is set iff
-    the pair {u, v} is red, and blue is the complement.  The constructor
-    validates a pair set and builds the rows from it; `random_coloring`,
-    `recolor_packing` and `induced_coloring` build rows directly (`_from_rows`)
-    and hold no pair set.  `red`, the set of red pairs (u, v) with u < v, is
-    then derived from the rows on first use and kept.  It is derived only for
-    callers outside the package: no module of the package reads it.
+    The red adjacency rows are the only state: bit v of row u is set iff the
+    pair {u, v} is red, and blue is the complement.  The constructor takes the
+    red pairs in either order, validates them and keeps only the rows built
+    from them; `random_coloring`, `recolor_packing` and `induced_coloring`
+    build rows directly (`_from_rows`).  `red`, the set of red pairs (u, v)
+    with u < v, is derived from the rows on first read and kept.  No module of
+    the package reads it.
     """
 
     n: int
@@ -151,12 +147,12 @@ class TwoColoring:
         self.__post_init__()
 
     def __post_init__(self):
-        """Validate the pairs given to the constructor and build the rows.
+        """Validate the constructor's pairs and keep only the rows they give.
 
         A method of its own so that `perfbench/tracing.py` can time it by name.
         """
-        red, rows = _pairs_and_rows(self.n, self.red)
-        self.__dict__.update(red=red, red_count=len(red), _rows=rows)
+        red, rows = _pairs_and_rows(self.n, self.__dict__.pop("red"))
+        self.__dict__.update(red_count=len(red), _rows=rows)
 
     @classmethod
     def _from_rows(cls, rows: list[int]) -> TwoColoring:
@@ -194,10 +190,6 @@ class TwoColoring:
         full = (1 << self.n) - 1
         red = self._rows
         return [full & ~(red[v] | (1 << v)) for v in range(self.n)]
-
-
-def coloring_from_red(n: int, pairs: Iterable[tuple[int, int]]) -> TwoColoring:
-    return TwoColoring(n, frozenset(_normalize_pair(u, v) for u, v in pairs))
 
 
 def induced_coloring(col: TwoColoring, vertices: Iterable[int]) -> tuple[TwoColoring, tuple[int, ...]]:

@@ -14,10 +14,8 @@ from ramseykit.exact import find_witness
 from ramseykit.graphs import (
     Graph,
     TwoColoring,
-    coloring_from_red,
     complete_graph,
     cycle_graph,
-    graph_from_edges,
     path_graph,
     star_graph,
 )
@@ -107,7 +105,7 @@ def reference_greedy_packing(col: TwoColoring, s: int) -> list[tuple[int, ...]]:
 # A coloring whose greedy triangle packing is the one member (0, 1, 2): red is
 # K_4 on {0, 1, 2, 3} plus the pair (3, 4), and vertex 5 is all blue.  The
 # residual red pairs are (0, 3), (1, 3), (2, 3) and (3, 4).
-ONE_TRIANGLE_PACKING = coloring_from_red(
+ONE_TRIANGLE_PACKING = TwoColoring(
     6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
 
 # Members a faulty greedy pass could add after the real ones, each clearing
@@ -168,14 +166,14 @@ def random_connected_graph(rng: random.Random, m: int) -> Graph:
     rng.shuffle(candidates)
     for pair in candidates[: m - (v - 1)]:
         edges.add(pair)
-    return graph_from_edges(v, edges)
+    return Graph(v, edges)
 
 
 def random_coloring_local(rng: random.Random, n: int, q: float) -> TwoColoring:
     """Each pair of K_n red with probability q, one draw of `rng` per pair in
     lexicographic order."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return coloring_from_red(n, [p for p in pairs if rng.random() < q])
+    return TwoColoring(n, [p for p in pairs if rng.random() < q])
 
 
 def random_bipartite_red_coloring(rng: random.Random, n: int, q: float) -> TwoColoring:
@@ -187,19 +185,19 @@ def random_bipartite_red_coloring(rng: random.Random, n: int, q: float) -> TwoCo
         for v in range(u + 1, n)
         if side[u] != side[v] and rng.random() < q
     ]
-    return coloring_from_red(n, red)
+    return TwoColoring(n, red)
 
 
 # Every isolated-vertex-free graph with at most 3 edges, up to isomorphism.
 GRAPHS_UP_TO_3_EDGES = {
-    "K2": graph_from_edges(2, [(0, 1)]),
-    "P3": graph_from_edges(3, [(0, 1), (1, 2)]),
-    "2K2": graph_from_edges(4, [(0, 1), (2, 3)]),
-    "K3": graph_from_edges(3, [(0, 1), (0, 2), (1, 2)]),
-    "P4": graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]),
-    "K13": graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]),
-    "P3+K2": graph_from_edges(5, [(0, 1), (1, 2), (3, 4)]),
-    "3K2": graph_from_edges(6, [(0, 1), (2, 3), (4, 5)]),
+    "K2": Graph(2, [(0, 1)]),
+    "P3": Graph(3, [(0, 1), (1, 2)]),
+    "2K2": Graph(4, [(0, 1), (2, 3)]),
+    "K3": Graph(3, [(0, 1), (0, 2), (1, 2)]),
+    "P4": Graph(4, [(0, 1), (1, 2), (2, 3)]),
+    "K13": Graph(4, [(0, 1), (0, 2), (0, 3)]),
+    "P3+K2": Graph(5, [(0, 1), (1, 2), (3, 4)]),
+    "3K2": Graph(6, [(0, 1), (2, 3), (4, 5)]),
 }
 
 # Patterns on at most 4 vertices, each searched against each by the exact
@@ -211,10 +209,10 @@ SB_PATTERNS = {
     "P4": path_graph(4),
     "K1_3": star_graph(3),
     "C4": cycle_graph(4),
-    "paw": graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
-    "K4-e": graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "paw": Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "K4-e": Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
     "K4": complete_graph(4),
-    "2K2": graph_from_edges(4, [(0, 1), (2, 3)]),
+    "2K2": Graph(4, [(0, 1), (2, 3)]),
 }
 # The patterns whose pinned checks are compared with the full ones.
 PINNED_PATTERNS = {**SB_PATTERNS, "C5": cycle_graph(5), "P5": path_graph(5)}

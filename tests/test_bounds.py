@@ -5,7 +5,7 @@ import pytest
 
 from ramseykit.bounds import evaluate_all, theorem3_exponent
 from ramseykit.errors import InputError
-from ramseykit.graphs import Graph, complete_graph, graph_from_edges
+from ramseykit.graphs import Graph, complete_graph
 
 
 def by_name(reports):
@@ -128,5 +128,5 @@ class TestEvaluateAll:
 
     def test_thm3_uses_rho_star_of_subgraph(self):
         # A sparse graph containing a triangle: rho* comes from the K_3 inside.
-        g = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+        g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
         assert theorem3_exponent(g) == Fraction(2, 3)

@@ -18,12 +18,12 @@ from ramseykit import cli, construct, detect, exact
 from ramseykit.cli import main
 from ramseykit.errors import ContractViolation
 from ramseykit.graphs import (
+    TwoColoring,
     complete_graph,
     parse_coloring,
     parse_graph,
     serialize_coloring,
     serialize_graph,
-    coloring_from_red,
     cycle_graph,
     path_graph,
 )
@@ -103,6 +103,13 @@ class TestBounds:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("s", ["700", "1078"])
+    def test_bound_too_large_for_a_float_exits_2(self, capsys, s):
+        # At s = 700 no `**` overflows: the quotient 2**699 / ln(2)**698 is +inf.
+        code, out, err = run(capsys, ["bounds", "--s", s, "--m", "3", "--k", "2"], within=10)
+        assert (code, out) == (2, "")
+        assert err == "error: an input is too large to evaluate in floating point\n"
 
 
 class TestConstruct:
@@ -212,7 +219,7 @@ class TestConstruct:
 
 class TestEmbed:
     def test_embed_success(self, capsys, tmp_path):
-        col = coloring_from_red(12, [(0, i) for i in range(1, 6)])
+        col = TwoColoring(12, [(0, i) for i in range(1, 6)])
         col_file = tmp_path / "c.col"
         col_file.write_text(serialize_coloring(col))
         g_file = tmp_path / "p5.g"
@@ -228,7 +235,7 @@ class TestEmbed:
         assert len(set(hosts)) == 5
 
     def test_embed_failure_exit_1(self, capsys, tmp_path):
-        col = coloring_from_red(6, [(0, 1), (2, 3), (4, 5)])
+        col = TwoColoring(6, [(0, 1), (2, 3), (4, 5)])
         col_file = tmp_path / "c.col"
         col_file.write_text(serialize_coloring(col))
         g_file = tmp_path / "k6.g"
@@ -241,7 +248,7 @@ class TestEmbed:
         jsonschema.validate(data, load_schema("embed.schema.json"))
         assert data["status"] == "failed" and "blue" in data["reason"]
         # Vertex 0 of a 3-vertex host has one red neighbour to descend into.
-        col_file.write_text(serialize_coloring(coloring_from_red(3, [(0, 1)])))
+        col_file.write_text(serialize_coloring(TwoColoring(3, [(0, 1)])))
         g_file.write_text(serialize_graph(complete_graph(2)))
         code, out, _ = run(capsys, [
             "embed", "--coloring", str(col_file), "--G", str(g_file), "--s", "4",
@@ -293,7 +300,7 @@ class TestPack:
     def test_all_red_k4(self, capsys, tmp_path):
         col_file = tmp_path / "k4.col"
         col_file.write_text(serialize_coloring(
-            coloring_from_red(4, complete_graph(4).edges)))
+            TwoColoring(4, complete_graph(4).edges)))
         code, out, _ = run(capsys, [
             "pack", "--coloring", str(col_file), "--s", "3",
         ])
@@ -309,7 +316,7 @@ class TestPack:
         for n in range(1, 11):
             col_file = tmp_path / f"k{n}.col"
             col_file.write_text(serialize_coloring(
-                coloring_from_red(n, complete_graph(n).edges)))
+                TwoColoring(n, complete_graph(n).edges)))
             code, out, _ = run(capsys, [
                 "pack", "--coloring", str(col_file), "--s", "3", "--exact",
             ], within=60)
@@ -618,7 +625,7 @@ class TestConstructAndEmbedInputErrors:
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_embed_node_budget_below_1_exits_2(self, capsys, tmp_path, budget):
         col_file = tmp_path / "c.col"
-        col_file.write_text(serialize_coloring(coloring_from_red(12, [(0, 1)])))
+        col_file.write_text(serialize_coloring(TwoColoring(12, [(0, 1)])))
         g_file = tmp_path / "p5.g"
         g_file.write_text(serialize_graph(path_graph(5)))
         code, out, err = run(capsys, [
@@ -704,8 +711,8 @@ def input_files(tmp_path_factory):
         "p6": serialize_graph(path_graph(6)),
         "p21": serialize_graph(path_graph(21)),
         "empty": "",
-        "c8": serialize_coloring(coloring_from_red(8, cycle_graph(8).edges)),
-        "k70": serialize_coloring(coloring_from_red(70, [])),
+        "c8": serialize_coloring(TwoColoring(8, cycle_graph(8).edges)),
+        "k70": serialize_coloring(TwoColoring(70, [])),
         "k2.g": "p 2 1\ne 1 2\n",
         "e3.g": "p 3 0\n",
         "k4.g": "p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n",

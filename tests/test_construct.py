@@ -31,7 +31,6 @@ from ramseykit.errors import CapacityError, ContractViolation, InputError
 from ramseykit.graphs import (
     MAX_PARSE_ORDER,
     TwoColoring,
-    coloring_from_red,
     complete_graph,
     union_of_cliques,
 )
@@ -154,7 +153,7 @@ class TestRandomColoring:
 
 class TestRecolorPacking:
     def test_all_red_k4(self):
-        col = coloring_from_red(4, complete_graph(4).edges)
+        col = TwoColoring(4, complete_graph(4).edges)
         recolored, packing = recolor_packing(col, 3)
         assert packing.size == 1
         assert recolored.red_count == 3
@@ -168,7 +167,7 @@ class TestRecolorPacking:
         assert recolored == col and packing.size == 0
 
     def test_triangle_free_red_unchanged(self):
-        col = coloring_from_red(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        col = TwoColoring(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         recolored, packing = recolor_packing(col, 3)
         assert recolored == col and packing.size == 0
 

@@ -25,15 +25,14 @@ from ramseykit.detect import (
 )
 from ramseykit.errors import CapacityError, InputError, SearchBudgetExceeded
 from ramseykit.graphs import (
+    Graph,
     TwoColoring,
-    coloring_from_red,
     complete_graph,
-    graph_from_edges,
     path_graph,
 )
 
-ALL_RED_K5 = coloring_from_red(5, complete_graph(5).edges)
-RED_C5 = coloring_from_red(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+ALL_RED_K5 = TwoColoring(5, complete_graph(5).edges)
+RED_C5 = TwoColoring(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 
 
 class TestFindClique:
@@ -64,13 +63,13 @@ class TestFindClique:
 
     def test_budget_exhaustion(self):
         with pytest.raises(SearchBudgetExceeded):
-            find_clique(coloring_from_red(12, complete_graph(12).edges), "red", 12,
+            find_clique(TwoColoring(12, complete_graph(12).edges), "red", 12,
                         node_budget=3)
 
 
 class TestFindCopy:
     def test_single_edge(self):
-        col = coloring_from_red(3, [(0, 1)])
+        col = TwoColoring(3, [(0, 1)])
         emb = find_copy(col, "blue", complete_graph(2))
         assert emb is not None and emb.validates(col, "blue")
 
@@ -100,8 +99,8 @@ class TestFindCopy:
                 find_clique(TwoColoring(3), "green", order)
 
     def test_isolated_vertices_map_anywhere(self):
-        g = graph_from_edges(3, [(0, 1)])  # vertex 2 isolated
-        col = coloring_from_red(4, [(0, 1)])
+        g = Graph(3, [(0, 1)])  # vertex 2 isolated
+        col = TwoColoring(4, [(0, 1)])
         emb = find_copy(col, "red", g)
         assert emb is not None and emb.validates(col, "red")
 
@@ -110,8 +109,8 @@ class TestFindCopy:
         patterns = [
             complete_graph(3),
             path_graph(4),
-            graph_from_edges(4, [(0, 1), (2, 3)]),
-            graph_from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)]),
+            Graph(4, [(0, 1), (2, 3)]),
+            Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)]),
             complete_graph(4),
         ]
         for trial in range(40):
@@ -160,7 +159,7 @@ class TestFindCopy:
 
 class TestPacking:
     def test_all_red_k4(self):
-        packing = max_edge_disjoint_packing(coloring_from_red(4, complete_graph(4).edges), 3)
+        packing = max_edge_disjoint_packing(TwoColoring(4, complete_graph(4).edges), 3)
         assert packing.size == 1
         # Any two triangles of K_4 share an edge: exhaustive over pairs.
         triangles = list(itertools.combinations(range(4), 3))
@@ -219,7 +218,7 @@ class TestPacking:
         # member: the search returns the first maximum packing of the plain
         # include-before-exclude search.
         rng = random.Random(29)
-        cols = [coloring_from_red(n, complete_graph(n).edges) for n in range(1, 8)]
+        cols = [TwoColoring(n, complete_graph(n).edges) for n in range(1, 8)]
         cols += [random_coloring_local(rng, rng.randint(1, 8), rng.uniform(0.2, 0.9))
                  for _ in range(60)]
         for col in cols:
@@ -274,7 +273,7 @@ class TestGreedyPacking:
     )
     def test_greedy_properties(self, n, edge_bits, s):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        col = coloring_from_red(n, [p for i, p in enumerate(pairs) if (edge_bits >> i) & 1])
+        col = TwoColoring(n, [p for i, p in enumerate(pairs) if (edge_bits >> i) & 1])
         members = max_edge_disjoint_packing(col, s).members
         assert list(members) == reference_greedy_packing(col, s)
         assert is_red_packing(col, s, members)
@@ -317,7 +316,7 @@ class TestPackingDecision:
     )
     def test_matches_naive_maximum(self, n, edge_bits, s, k):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        col = coloring_from_red(n, [p for i, p in enumerate(pairs) if (edge_bits >> i) & 1])
+        col = TwoColoring(n, [p for i, p in enumerate(pairs) if (edge_bits >> i) & 1])
         assert reaches_target(col, s, k) == (naive_max_packing_size(col, s) >= k)
 
     @pytest.mark.parametrize("n, red, s, k, want", [
@@ -331,7 +330,7 @@ class TestPackingDecision:
              (3, 5)], 3, 3, True),
     ])
     def test_boundary_instances(self, n, red, s, k, want):
-        col = coloring_from_red(n, red)
+        col = TwoColoring(n, red)
         assert (naive_max_packing_size(col, s) >= k) == want
         assert reaches_target(col, s, k) == want
 
@@ -345,7 +344,7 @@ class TestPackingDecision:
         (7, 7, True), (8, 8, True), (8, 9, False), (9, 12, True), (9, 13, False),
     ])
     def test_all_red_vertex_bound(self, n, k, want):
-        col = coloring_from_red(n, complete_graph(n).edges)
+        col = TwoColoring(n, complete_graph(n).edges)
         assert reaches_target(col, 3, k) is want
 
     def test_target_search_stops_at_k(self):
@@ -361,7 +360,7 @@ class TestPackingDecision:
 
     @pytest.mark.parametrize("col, s, targets", [
         # The greedy packing of all-red K_7 is the Fano packing, 7 = cap.
-        (coloring_from_red(7, complete_graph(7).edges), 3, (None, *range(1, 8))),
+        (TwoColoring(7, complete_graph(7).edges), 3, (None, *range(1, 8))),
         (random_coloring_local(random.Random(47), 12, 0.9), 3, (3,)),
     ], ids=["all-red-K7", "dense-K12"])
     def test_greedy_prefix_lists_no_clique(self, monkeypatch, col, s, targets):
@@ -380,7 +379,7 @@ class TestPackingDecision:
         # sum floor(deg/(s-1)) <= 2R/(s-1) for R red pairs, so the per-vertex
         # bound never exceeds R // C(s,2): no target above that is reached.
         rng = random.Random(53 + s)
-        cols = [coloring_from_red(n, complete_graph(n).edges) for n in range(13)]
+        cols = [TwoColoring(n, complete_graph(n).edges) for n in range(13)]
         cols += [random_coloring_local(rng, rng.randint(0, 12), rng.random())
                  for _ in range(60)]
         for col in cols:
@@ -402,7 +401,7 @@ class TestEmbeddingMap:
         assert not emb.validates(col, "blue")
 
     def test_rejects_wrong_color(self):
-        col = coloring_from_red(3, [(0, 1)])
+        col = TwoColoring(3, [(0, 1)])
         emb = EmbeddingMap(complete_graph(2), {0: 0, 1: 1})
         assert not emb.validates(col, "blue")
         assert emb.validates(col, "red")
@@ -414,7 +413,7 @@ class TestEmbeddingMap:
         emb = EmbeddingMap(path_graph(3), {0: 0, 1: 1})
         assert not emb.validates(TwoColoring(4), "blue")
         # K2+K1 with three keys: the edge {0, 1} is blue, but vertex 2 is unmapped.
-        k2_k1 = graph_from_edges(3, [(0, 1)])
+        k2_k1 = Graph(3, [(0, 1)])
         assert EmbeddingMap(k2_k1, {0: 0, 1: 1, 2: 2}).validates(TwoColoring(4), "blue")
         assert not EmbeddingMap(k2_k1, {0: 0, 1: 1, 7: 2}).validates(TwoColoring(4), "blue")
         # Vertex 2 mapped outside the host.

@@ -11,9 +11,7 @@ from ramseykit.errors import ContractViolation, EmbedFailure, InputError
 from ramseykit.graphs import (
     Graph,
     TwoColoring,
-    coloring_from_red,
     complete_graph,
-    graph_from_edges,
     path_graph,
 )
 
@@ -43,17 +41,17 @@ class TestHub:
         assert embed._hub(TwoColoring(5).red_adjacency_bits(), 0b11111) == (0, 0)
 
     def test_red_star(self):
-        col = coloring_from_red(4, [(0, 2), (1, 2), (2, 3)])
+        col = TwoColoring(4, [(0, 2), (1, 2), (2, 3)])
         assert embed._hub(col.red_adjacency_bits(), 0b1111) == (2, 3)
 
     def test_tie_break(self):
-        col = coloring_from_red(4, [(0, 1), (2, 3)])
+        col = TwoColoring(4, [(0, 1), (2, 3)])
         assert embed._hub(col.red_adjacency_bits(), 0b1111) == (0, 1)
 
     def test_block_mask(self):
         # Vertex 0's red star lies outside the block {3, 4, 5, 6}, where the
         # red path 3-4-5-6 gives 4 the most red neighbours.
-        col = coloring_from_red(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4), (4, 5), (5, 6)])
+        col = TwoColoring(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4), (4, 5), (5, 6)])
         red = col.red_adjacency_bits()
         assert embed._hub(red, 0b1111111) == (0, 4)
         assert embed._hub(red, 0b1111000) == (4, 2)
@@ -64,7 +62,7 @@ class TestGreedyPlace:
         # G = K2 with vertex 0 parked on host 0.  Host 0's red edge to 1
         # leaves 2 of the 3 hosts feasible for vertex 1, fewer than the
         # 3 - tmax * 1 that a red degree bound of tmax = 0 promises.
-        red = coloring_from_red(3, [(0, 1)]).red_adjacency_bits()
+        red = TwoColoring(3, [(0, 1)]).red_adjacency_bits()
         g = complete_graph(2)
         with pytest.raises(ContractViolation,
                            match="^availability bound violated in greedy placement$"):
@@ -81,14 +79,14 @@ class TestEmbedS3:
 
     def test_red_star_host(self):
         # Red star K_{1,5} inside K_12 is triangle-free; P_5 has m = 4, 3m = 12.
-        col = coloring_from_red(12, [(0, i) for i in range(1, 6)])
+        col = TwoColoring(12, [(0, i) for i in range(1, 6)])
         emb = embed_s3(col, path_graph(5))
         assert emb.validates(col, "blue")
         # Independent confirmation that a blue copy is there at all.
         assert find_copy(col, "blue", path_graph(5)) is not None
 
     def test_disconnected_target(self):
-        g = graph_from_edges(4, [(0, 1), (2, 3)])  # two disjoint edges
+        g = Graph(4, [(0, 1), (2, 3)])  # two disjoint edges
         col = TwoColoring(6)
         emb = embed_s3(col, g)
         assert emb.validates(col, "blue")
@@ -100,7 +98,7 @@ class TestEmbedS3:
         # embedding quadratic: 50 disjoint edges cost as many passes as one.
         # The red rows are read by the triangle check and once for the blocks.
         for c in (1, 50):
-            g = graph_from_edges(2 * c, [(2 * i, 2 * i + 1) for i in range(c)])
+            g = Graph(2 * c, [(2 * i, 2 * i + 1) for i in range(c)])
             col = TwoColoring(3 * c)
             passes.clear()
             assert embed_s3(col, g).validates(col, "blue")
@@ -108,7 +106,7 @@ class TestEmbedS3:
                               "components": 1}
 
     def test_rejects_red_triangle(self):
-        col = coloring_from_red(6, [(0, 1), (0, 2), (1, 2)])
+        col = TwoColoring(6, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(InputError, match="triangle"):
             embed_s3(col, path_graph(2))
 
@@ -117,7 +115,7 @@ class TestEmbedS3:
         # X = {1, 2}, whose pair is red: the precondition the block argument
         # needs is gone, so the embedder must stop rather than place.
         monkeypatch.setattr(embed, "find_clique", lambda col, color, s: None)
-        col = coloring_from_red(3, [(0, 1), (0, 2), (1, 2)])
+        col = TwoColoring(3, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(ContractViolation, match="red pair inside the red neighborhood X"):
             embed_s3(col, complete_graph(2))
 
@@ -131,7 +129,7 @@ class TestEmbedS3:
             embed_s3(TwoColoring(6), path_graph(3))
 
     def test_rejects_isolated_vertices(self):
-        g = graph_from_edges(3, [(0, 1)])
+        g = Graph(3, [(0, 1)])
         with pytest.raises(InputError, match="isolated"):
             embed_s3(TwoColoring(9), g)
 
@@ -173,7 +171,7 @@ class TestEmbedGeneral:
         assert searched == [3]
         # The descent from s = 4 makes one embed_general(..., 3) call.
         searched.clear()
-        embed_general(coloring_from_red(10, [(0, i) for i in range(1, 10)]), path_graph(4), 4)
+        embed_general(TwoColoring(10, [(0, i) for i in range(1, 10)]), path_graph(4), 4)
         assert searched == [4, 3]
 
     def test_whole_graph_passes_once_per_call(self, passes):
@@ -213,34 +211,34 @@ class TestEmbedGeneral:
         # One vertex of red degree 9 over an internally red-empty (hence
         # triangle-free) neighborhood: with d = m = 3 the descent fires and
         # lands in the s = 3 routine on the 9-vertex neighborhood.
-        col = coloring_from_red(10, [(0, i) for i in range(1, 10)])
+        col = TwoColoring(10, [(0, i) for i in range(1, 10)])
         g = path_graph(4)  # m = 3
         emb = embed_general(col, g, 4)
         assert emb.validates(col, "blue")
         assert all(host != 0 for host in emb.assignment.values())
 
     def test_rejects_red_ks(self):
-        col = coloring_from_red(6, complete_graph(4).edges)
+        col = TwoColoring(6, complete_graph(4).edges)
         with pytest.raises(InputError, match="red clique"):
             embed_general(col, path_graph(2), 4)
 
     def test_failure_when_host_tiny(self):
-        col = coloring_from_red(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        col = TwoColoring(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         with pytest.raises(EmbedFailure):
             embed_general(col, complete_graph(5), 4)
         with pytest.raises(EmbedFailure, match="more vertices than the host"):
             embed_general(TwoColoring(8), complete_graph(9), 4)
         # Vertex 0's one red neighbour is too few to descend into.
         with pytest.raises(EmbedFailure, match="red-neighborhood descent failed: "):
-            embed_general(coloring_from_red(3, [(0, 1)]), complete_graph(2), 4)
+            embed_general(TwoColoring(3, [(0, 1)]), complete_graph(2), 4)
         # Blue 0-2-1 is a P3, but the greedy placement runs out of hosts first.
         with pytest.raises(EmbedFailure, match="greedy placement ran out of feasible host vertices"):
-            embed_general(coloring_from_red(3, [(0, 1)]), path_graph(3), 4)
+            embed_general(TwoColoring(3, [(0, 1)]), path_graph(3), 4)
 
     def test_failure_when_no_blue_clique(self):
         # K_6 minus a perfect red matching has blue clique number 3; a target
         # with m = 16 edges asks for a blue 6-clique, which cannot exist.
-        col = coloring_from_red(6, [(0, 1), (2, 3), (4, 5)])
+        col = TwoColoring(6, [(0, 1), (2, 3), (4, 5)])
         g = complete_graph(6)  # wants more vertices than blue cliques give
         with pytest.raises(EmbedFailure, match="blue"):
             embed_general(col, g, 4)

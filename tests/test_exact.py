@@ -22,10 +22,8 @@ from ramseykit.exact import find_witness, is_witness, ramsey_number
 from ramseykit.graphs import (
     Graph,
     TwoColoring,
-    coloring_from_red,
     complete_graph,
     cycle_graph,
-    graph_from_edges,
     path_graph,
     star_graph,
 )
@@ -33,7 +31,7 @@ from ramseykit.graphs import (
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
 THREE_K2 = GRAPHS_UP_TO_3_EDGES["3K2"]
-RED_C5 = coloring_from_red(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+RED_C5 = TwoColoring(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 START_PATTERNS = {
     **GRAPHS_UP_TO_3_EDGES,
     "K4": complete_graph(4),
@@ -46,8 +44,8 @@ START_PATTERNS = {
 DISCONNECTED = {
     "2K2": GRAPHS_UP_TO_3_EDGES["2K2"],
     "P3+K2": GRAPHS_UP_TO_3_EDGES["P3+K2"],
-    "K3+K2": graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)]),
-    "2K3": graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+    "K3+K2": Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]),
+    "2K3": Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
 }
 AGAINST_DISCONNECTED = {
     "K3": K3, "C4": C4, "2K2": DISCONNECTED["2K2"], "K3+K2": DISCONNECTED["K3+K2"],
@@ -55,10 +53,10 @@ AGAINST_DISCONNECTED = {
 # Patterns with an isolated vertex, and three without; every ordered pair of
 # them is searched.
 WITH_ISOLATED = {
-    "K2+K1": graph_from_edges(3, [(0, 1)]),
-    "P3+K1": graph_from_edges(4, [(0, 1), (1, 2)]),
-    "K3+K1": graph_from_edges(4, [(0, 1), (0, 2), (1, 2)]),
-    "K13+K1": graph_from_edges(5, [(0, 1), (0, 2), (0, 3)]),
+    "K2+K1": Graph(3, [(0, 1)]),
+    "P3+K1": Graph(4, [(0, 1), (1, 2)]),
+    "K3+K1": Graph(4, [(0, 1), (0, 2), (1, 2)]),
+    "K13+K1": Graph(5, [(0, 1), (0, 2), (0, 3)]),
     "3K1": Graph(3),
     "K2": complete_graph(2),
     "K3": K3,
@@ -108,7 +106,7 @@ class TestIsWitness:
     def test_k2_red_side(self):
         # Any red edge is a red K_2, so witnesses must be all-blue and G-free.
         k2 = complete_graph(2)
-        assert not is_witness(coloring_from_red(4, [(0, 1)]), k2, complete_graph(5))
+        assert not is_witness(TwoColoring(4, [(0, 1)]), k2, complete_graph(5))
         assert is_witness(TwoColoring(2), k2, K3)
         assert not is_witness(TwoColoring(3), k2, K3)
 
@@ -126,7 +124,7 @@ class TestFindWitness:
         assert w is not None and w.n == 1
 
     def test_matches_brute_force(self):
-        patterns = [K3, path_graph(3), graph_from_edges(3, [(0, 1)])]
+        patterns = [K3, path_graph(3), Graph(3, [(0, 1)])]
         for H in patterns:
             for G in patterns:
                 for n in (2, 3, 4):
@@ -136,7 +134,7 @@ class TestFindWitness:
     def test_matches_brute_force_n5_richer_patterns(self):
         from ramseykit.graphs import cycle_graph
 
-        paw = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        paw = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         patterns = [K3, path_graph(4), star_graph(3), cycle_graph(4), paw]
         for H, G in itertools.product(patterns, repeat=2):
             witnesses = [col for col in all_colorings(5) if is_witness(col, H, G)]
@@ -159,8 +157,8 @@ class TestFindWitness:
 
     def test_edgeless_pattern_blocks_witness(self):
         # An edgeless pattern that fits is present in every coloring.
-        assert find_witness(3, graph_from_edges(2, []), K3) is None
-        assert find_witness(3, K3, graph_from_edges(2, [])) is None
+        assert find_witness(3, Graph(2, []), K3) is None
+        assert find_witness(3, K3, Graph(2, [])) is None
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -379,7 +377,7 @@ class TestRamseyNumber:
         catalog = list(GRAPHS_UP_TO_3_EDGES.values())
         values = {g: ramsey_number(K3, g, 8) for g in catalog}
         for g_small, g_big in itertools.permutations(catalog, 2):
-            inclusion_host = coloring_from_red(g_big.n, g_big.edges)
+            inclusion_host = TwoColoring(g_big.n, g_big.edges)
             if g_small.n <= g_big.n and find_copy(inclusion_host, "red", g_small):
                 assert values[g_small] <= values[g_big]
 
@@ -422,7 +420,7 @@ def chvatal_harary_coloring(H, G):
         parts, size = chromatic_floor(h) - 1, largest_component(g) - 1
         red = [(u, v) for u, v in itertools.combinations(range(parts * size), 2)
                if (u // size != v // size) == red_between]
-        colorings.append(coloring_from_red(parts * size, red))
+        colorings.append(TwoColoring(parts * size, red))
     return max(colorings, key=lambda col: col.n)
 
 
@@ -431,7 +429,7 @@ def one_colour_coloring(H, G):
     vertices and all red on |V(H)| - 1 vertices."""
     if G.n >= H.n:
         return TwoColoring(G.n - 1)
-    return coloring_from_red(H.n - 1, itertools.combinations(range(H.n - 1), 2))
+    return TwoColoring(H.n - 1, itertools.combinations(range(H.n - 1), 2))
 
 
 class TestChvatalHararyStart:
@@ -473,7 +471,7 @@ class TestChvatalHararyStart:
         # All blue K5 holds neither K3 nor 3K2, so the walk from 1 would
         # search [3, ..., 7].  r(4K2, 3K2) = 10 (Cockayne and Lorimer), and
         # all red K7 holds no red 4K2.
-        (K3, THREE_K2, [6, 7]), (graph_from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+        (K3, THREE_K2, [6, 7]), (Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
                                 THREE_K2, [8, 9, 10]),
     ])
     def test_orders_searched(self, monkeypatch, H, G, visited):
@@ -522,7 +520,7 @@ def walked(H, G, n_cap):
 
 def trees(order):
     """Every tree on `order` vertices, up to isomorphism (networkx)."""
-    return [graph_from_edges(order, t.edges()) for t in nx.nonisomorphic_trees(order)]
+    return [Graph(order, t.edges()) for t in nx.nonisomorphic_trees(order)]
 
 
 # Pairs whose value Chvátal's formula gives: the two tree rows of PUBLISHED
@@ -623,9 +621,9 @@ class TestClosedForm:
         # isolated vertex: not cycles.
         not_cycles = {
             "2C3": DISCONNECTED["2K3"],
-            "C3+C4": graph_from_edges(7, [(0, 1), (1, 2), (0, 2),
-                                          (3, 4), (4, 5), (5, 6), (3, 6)]),
-            "C4+K1": graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+            "C3+C4": Graph(7, [(0, 1), (1, 2), (0, 2),
+                               (3, 4), (4, 5), (5, 6), (3, 6)]),
+            "C4+K1": Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]),
         }
         for g, G in not_cycles.items():
             for C in (K3, C4, cycle_graph(5)):

@@ -11,10 +11,8 @@ from ramseykit.graphs import (
     Graph,
     TwoColoring,
     clique_union_edges,
-    coloring_from_red,
     complete_graph,
     cycle_graph,
-    graph_from_edges,
     induced_coloring,
     parse_coloring,
     parse_graph,
@@ -43,13 +41,13 @@ def brute_rho_star(H: Graph) -> Fraction:
 
 
 def relabeled(g: Graph, perm: list[int]) -> Graph:
-    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 class TestTypes:
     def test_graph_rejects_self_loop(self):
         with pytest.raises(InputError):
-            graph_from_edges(3, [(1, 1)])
+            Graph(3, [(1, 1)])
 
     def test_graph_rejects_out_of_range(self):
         with pytest.raises(InputError):
@@ -63,19 +61,43 @@ class TestTypes:
             cycle_graph(2)
 
     def test_coloring_counts_sum(self):
-        col = coloring_from_red(6, [(0, 1), (2, 5)])
+        col = TwoColoring(6, [(0, 1), (2, 5)])
         blue_ends = sum(row.bit_count() for row in col.blue_adjacency_bits())
         assert col.red_count == 2 and col.red_count + blue_ends // 2 == 15
 
     def test_coloring_rejects_bad_pair(self):
         with pytest.raises(InputError):
-            coloring_from_red(4, [(0, 4)])
+            TwoColoring(4, [(0, 4)])
         with pytest.raises(InputError, match="self-loop"):
             TwoColoring(3, {(1, 1)})
         with pytest.raises(InputError, match="vertex ids must be integers"):
             TwoColoring(3, [(0, "2")])
         with pytest.raises(InputError, match="non-negative"):
             TwoColoring(-1)
+
+    def test_graph_takes_pairs_in_either_order(self):
+        g = Graph(4, [(1, 0), (3, 2), (0, 1)])
+        assert g == Graph(4, [(0, 1), (2, 3)])
+        assert g.edges == {(0, 1), (2, 3)}
+        assert g.adjacency_bits() == Graph(4, [(0, 1), (2, 3)]).adjacency_bits() == [2, 1, 8, 4]
+
+    def test_coloring_takes_pairs_in_either_order_and_keeps_only_rows(self):
+        col = TwoColoring(3, [(2, 0)])
+        assert col.is_red(0, 2) and col.is_red(2, 0) and not col.is_red(0, 1)
+        assert "red" not in vars(col)
+        assert col.red == {(0, 2)}
+        assert col == TwoColoring(3, [(0, 2)])
+
+    @pytest.mark.parametrize("make", [Graph, TwoColoring])
+    @pytest.mark.parametrize("pair, message", [
+        ((2, 2), "self-loop at vertex 2"),
+        ((2, 0.0), "vertex ids must be integers"),
+        ((3, 0), r"pair \(0, 3\) outside 0\.\.2"),
+        ((1, -1), r"pair \(-1, 1\) outside 0\.\.2"),
+    ], ids=["self-loop", "non-integer", "above-range", "below-range"])
+    def test_reversed_pair_still_rejected(self, make, pair, message):
+        with pytest.raises(InputError, match=message):
+            make(3, [pair])
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
     def test_is_red_is_blue_agree_with_pair_set(self, n):
@@ -108,17 +130,17 @@ class TestTypes:
             del col.red_count
 
     def test_components(self):
-        g = graph_from_edges(6, [(0, 1), (1, 2), (4, 5)])
+        g = Graph(6, [(0, 1), (1, 2), (4, 5)])
         assert g.components() == [[0, 1, 2], [3], [4, 5]]
         # The rows are kept: a caller's copy of them does not reach the graph,
         # and equal graphs hash equal.
         g.adjacency_bits()[0] = 0b111110
         assert g.adjacency_bits()[0] == 0b10 and g.components() == [[0, 1, 2], [3], [4, 5]]
-        assert g == graph_from_edges(6, [(4, 5), (2, 1), (0, 1)])
-        assert hash(g) == hash(graph_from_edges(6, [(4, 5), (2, 1), (0, 1)]))
+        assert g == Graph(6, [(4, 5), (2, 1), (0, 1)])
+        assert hash(g) == hash(Graph(6, [(4, 5), (2, 1), (0, 1)]))
 
     def test_induced_coloring(self):
-        col = coloring_from_red(5, [(0, 1), (1, 3), (2, 4)])
+        col = TwoColoring(5, [(0, 1), (1, 3), (2, 4)])
         sub, mapping = induced_coloring(col, [1, 3, 4])
         assert mapping == (1, 3, 4)
         assert sub.red == frozenset({(0, 1)})
@@ -147,7 +169,7 @@ class TestDensity:
         assert rho_star(star_graph(3)) == 1
 
     def test_rho_star_k4_minus_edge(self):
-        g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         assert rho_star(g) == 2
 
     @pytest.mark.parametrize("s", range(3, 9))
@@ -160,7 +182,7 @@ class TestDensity:
             n = rng.randint(3, 7)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             edges = [p for p in pairs if rng.random() < 0.5]
-            g = graph_from_edges(n, edges)
+            g = Graph(n, edges)
             assert rho_star(g) == brute_rho_star(g)
 
     def test_rho_star_at_least_density(self):
@@ -168,7 +190,7 @@ class TestDensity:
         for _ in range(30):
             n = rng.randint(3, 8)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            g = graph_from_edges(n, [p for p in pairs if rng.random() < 0.4])
+            g = Graph(n, [p for p in pairs if rng.random() < 0.4])
             assert rho_star(g) >= Fraction(g.edge_count - 1, g.n - 2)
 
     def test_isomorphism_invariance(self):
@@ -176,7 +198,7 @@ class TestDensity:
         for _ in range(20):
             n = rng.randint(3, 7)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            g = graph_from_edges(n, [p for p in pairs if rng.random() < 0.5])
+            g = Graph(n, [p for p in pairs if rng.random() < 0.5])
             perm = list(range(n))
             rng.shuffle(perm)
             h = relabeled(g, perm)
@@ -259,7 +281,7 @@ class TestGraphFormat:
         assert serialize_graph(parse_graph(text)) == text
 
     def test_serializer_sorted(self):
-        g = graph_from_edges(4, [(2, 3), (0, 3), (0, 1)])
+        g = Graph(4, [(2, 3), (0, 3), (0, 1)])
         assert serialize_graph(g) == "p 4 3\ne 1 2\ne 1 4\ne 3 4\n"
 
     @pytest.mark.parametrize("text,fragment", [
@@ -301,7 +323,7 @@ class TestColoringFormat:
     def test_round_trip_random(self):
         rng = random.Random(9)
         pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)]
-        col = coloring_from_red(8, [p for p in pairs if rng.random() < 0.5])
+        col = TwoColoring(8, [p for p in pairs if rng.random() < 0.5])
         assert parse_coloring(serialize_coloring(col)) == col
         text = serialize_coloring(col)
         assert serialize_coloring(parse_coloring(text)) == text
@@ -346,7 +368,7 @@ class TestRoundTripFuzz:
     def test_graph_serialize_is_fixed_point(self, drawn):
         n, pairs, lines = drawn
         g = parse_graph("\n".join([f"p {n} {len(pairs)}", *lines]) + "\n")
-        assert g == graph_from_edges(n, pairs)
+        assert g == Graph(n, pairs)
         text = serialize_graph(g)
         assert parse_graph(text) == g and serialize_graph(parse_graph(text)) == text
 
@@ -355,7 +377,7 @@ class TestRoundTripFuzz:
     def test_coloring_serialize_is_fixed_point(self, drawn):
         n, pairs, lines = drawn
         col = parse_coloring("\n".join([f"n {n}", *lines]))
-        assert col == coloring_from_red(n, pairs)
+        assert col == TwoColoring(n, pairs)
         text = serialize_coloring(col)
         assert parse_coloring(text) == col and serialize_coloring(parse_coloring(text)) == text
 

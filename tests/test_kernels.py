@@ -21,11 +21,10 @@ from ramseykit import exact
 from ramseykit.detect import _cliques, _pattern_plan, _place, find_clique, find_copy
 from ramseykit.errors import SearchBudgetExceeded
 from ramseykit.graphs import (
+    Graph,
     TwoColoring,
-    coloring_from_red,
     complete_graph,
     cycle_graph,
-    graph_from_edges,
     path_graph,
     star_graph,
 )
@@ -38,17 +37,17 @@ ORBIT_PATTERNS = {
     "P5": path_graph(5),
     "K13": star_graph(3),
     "K14": star_graph(4),
-    "paw": graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
-    "K4-e": graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
-    "K23": graph_from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
-    "asym6": graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5), (1, 5)]),
+    "paw": Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "K4-e": Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "K23": Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+    "asym6": Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5), (1, 5)]),
 }
 
 
 def random_pattern(rng, max_vertices):
     v = rng.randint(1, max_vertices)
     pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
-    return graph_from_edges(v, [p for p in pairs if rng.random() < 0.5])
+    return Graph(v, [p for p in pairs if rng.random() < 0.5])
 
 
 def color_graph(col, color):
@@ -111,7 +110,7 @@ class TestPlacementOracles:
         # find_copy plans a pattern once per Graph; one Graph object, and an
         # equal but distinct one, must keep matching networkx on every host.
         for name, g in ORBIT_PATTERNS.items():
-            twin = graph_from_edges(g.n, sorted(g.edges))
+            twin = Graph(g.n, sorted(g.edges))
             assert twin == g and twin is not g
             pattern = nx.Graph()
             pattern.add_nodes_from(range(g.n))
@@ -179,7 +178,7 @@ class TestPlacementOracles:
         # of a connected pattern's plan may go to any unused host vertex.  In
         # this tree vertex 3 has the highest degree but is two steps from the
         # arcs (0, 1) and (1, 0): by degree alone it came before vertex 2.
-        tree = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6)])
+        tree = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6)])
         patterns = {**GRAPHS_UP_TO_3_EDGES, **PINNED_PATTERNS, **ORBIT_PATTERNS, "tree": tree}
         for name, g in patterns.items():
             if len(g.components()) > 1:
@@ -259,7 +258,7 @@ class TestDeepPlacement:
 def _budget_instance():
     rng = random.Random(3)
     n = 14
-    return coloring_from_red(
+    return TwoColoring(
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
     )
 
@@ -268,7 +267,7 @@ class TestNodeBudgetThresholds:
     """Smallest passing node budget for fixed searches; one tick per prefix."""
 
     @pytest.mark.parametrize("search, need", [
-        (lambda b: find_clique(coloring_from_red(12, complete_graph(12).edges), "red", 12,
+        (lambda b: find_clique(TwoColoring(12, complete_graph(12).edges), "red", 12,
                                node_budget=b), 13),
         (lambda b: find_clique(_budget_instance(), "red", 4, node_budget=b), 6),
         (lambda b: find_copy(_budget_instance(), "blue", cycle_graph(6), node_budget=b), 7),

@@ -9,6 +9,7 @@ def test_star_import_resolves_every_exported_name():
     exec("from ramseykit import *", namespace)
     assert len(set(ramseykit.__all__)) == len(ramseykit.__all__)
     assert set(ramseykit.__all__) <= namespace.keys()
+    assert set(ramseykit.__all__) <= set(dir(ramseykit))
 
 
 def test_console_script_entry_point():
