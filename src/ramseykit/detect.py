@@ -215,9 +215,6 @@ def find_clique(col: TwoColoring, color: Color, s: int,
     if s < 1:
         raise InputError("clique order must be at least 1")
     check_node_budget(node_budget)
-    if s > col.n:
-        check_color(color)
-        return None
     adj = color_adjacency_bits(col, color)
     counter = None if node_budget is None else _NodeCounter(node_budget)
     return next(_cliques(adj, (1 << col.n) - 1, s, counter), None)

@@ -47,10 +47,11 @@ complete H it ends at r(K_2, G) = |V(G)|, which needs no search.
 ramsey_number does not search the orders below L = `_lower_bound(H, G)`:
 every one of them has a witness, the larger of a Chvátal–Harary colouring
 (Chvátal and Harary, Pacific J. Math. 41, 1972) and a one-colour colouring,
-and the DFS starts at L.  It searches no order at all when a theorem makes L
-the value: a pattern without an edge, r(K_2, G) = max(1, |V(G)|),
-Chvátal's r(K_m, T) = (m - 1)(|T| - 1) + 1 for a tree T (J. Graph Theory 1,
-1977), which is the Chvátal–Harary bound itself, and every pair of cycles
+and the DFS starts at L.  It searches no order at all, however large L is,
+when a theorem makes L the value, so MAX_ORDER bounds searches only: a
+pattern without an edge, r(K_2, G) = max(1, |V(G)|), Chvátal's
+r(K_m, T) = (m - 1)(|T| - 1) + 1 for a tree T (J. Graph Theory 1, 1977),
+which is the Chvátal–Harary bound itself, and every pair of cycles
 C_m, C_k with 3 <= m <= k but (C_3, C_3) and (C_4, C_4), both 6 (Faudree
 and Schelp, Discrete Math. 8, 1974; Rosta, J. Combin. Theory B 15, 1973):
 
@@ -351,19 +352,18 @@ def ramsey_number(H: Graph, G: Graph, n_cap: int) -> int | None:
     """Smallest n with no witness coloring, or None if witnesses persist
     through n_cap (the value is then greater than n_cap).
 
-    A value that `_lower_bound` knows exactly and that is at most MAX_ORDER
-    is returned without search.  Otherwise the orders are walked: a witness
-    on K_{n+1} restricts to one on K_n, so the first witness-free order is
-    the Ramsey number.  Every order below the bound L has a witness, so the
-    DFS starts at L, and none is built or checked below it.  The start is at
-    most MAX_ORDER + 1, so that an answer beyond the cap raises the same
-    CapacityError as a walk from 1 would; a known value above MAX_ORDER is
-    walked for the same reason.
+    A value that `_lower_bound` knows exactly is returned without search, at
+    any order.  Otherwise the orders are walked: a witness on K_{n+1}
+    restricts to one on K_n, so the first witness-free order is the Ramsey
+    number.  Every order below the bound L has a witness, so the DFS starts
+    at L, and none is built or checked below it.  The start is at most
+    MAX_ORDER + 1, so that an answer beyond the cap raises the same
+    CapacityError as a walk from 1 would.
     """
     if n_cap < 1:
         raise InputError("n_cap must be at least 1")
     bound, exact = _lower_bound(H, G)
-    if exact and bound <= MAX_ORDER:
+    if exact:
         return bound if bound <= n_cap else None
     for n in range(min(bound, MAX_ORDER + 1), n_cap + 1):
         if find_witness(n, H, G) is None:

@@ -107,11 +107,11 @@ class Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def path_graph(n: int) -> Graph:
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
@@ -122,7 +122,7 @@ def cycle_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """K_{1,leaves} with the center at vertex 0."""
-    return Graph(leaves + 1, frozenset((0, i) for i in range(1, leaves + 1)))
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 @dataclass(frozen=True, init=False)
@@ -133,13 +133,12 @@ class TwoColoring:
     pair {u, v} is red, and blue is the complement.  The constructor takes the
     red pairs in either order, validates them and keeps only the rows built
     from them; `random_coloring`, `recolor_packing` and `induced_coloring`
-    build rows directly (`_from_rows`).  `red`, the set of red pairs (u, v)
-    with u < v, is derived from the rows on first read and kept.  No module of
-    the package reads it.
+    build rows directly (`_from_rows`).  `red_count` is read from the rows on
+    each access.  `red`, the set of red pairs (u, v) with u < v, is derived
+    from the rows on first read and kept.  No module of the package reads it.
     """
 
     n: int
-    red_count: int
     _rows: tuple[int, ...]
 
     def __init__(self, n: int, red: Iterable[Pair] = frozenset()):
@@ -151,8 +150,8 @@ class TwoColoring:
 
         A method of its own so that `perfbench/tracing.py` can time it by name.
         """
-        red, rows = _pairs_and_rows(self.n, self.__dict__.pop("red"))
-        self.__dict__.update(red_count=len(red), _rows=rows)
+        _, rows = _pairs_and_rows(self.n, self.__dict__.pop("red"))
+        self.__dict__.update(_rows=rows)
 
     @classmethod
     def _from_rows(cls, rows: list[int]) -> TwoColoring:
@@ -163,14 +162,16 @@ class TwoColoring:
         """
         n = len(rows)
         outside = -1 << n
-        ends = 0
         for u, row in enumerate(rows):
             if row & outside or row >> u & 1:
                 raise InputError(f"red row {u} has a bit outside 0..{n - 1} or at {u}")
-            ends += row.bit_count()
         out = object.__new__(cls)
-        out.__dict__.update(n=n, red_count=ends // 2, _rows=tuple(rows))
+        out.__dict__.update(n=n, _rows=tuple(rows))
         return out
+
+    @property
+    def red_count(self) -> int:
+        return sum(map(int.bit_count, self._rows)) // 2
 
     @cached_property
     def red(self) -> frozenset[Pair]:
@@ -275,7 +276,7 @@ def clique_union_edges(k: int, count: int) -> Iterator[Pair]:
 def union_of_cliques(m: int, s: int) -> Graph:
     """Vertex-disjoint copies of K_k with at least m edges in total."""
     k, count = union_of_cliques_params(m, s)
-    return Graph(k * count, frozenset(clique_union_edges(k, count)))
+    return Graph(k * count, clique_union_edges(k, count))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +344,7 @@ def parse_graph(text: str) -> Graph:
         _parse_pair_line(line.split(), "e", n, seen, lineno)
     if len(seen) != m:
         raise ParseError(f"header declares {m} edges but {len(seen)} were listed")
-    return Graph(n, frozenset(seen))
+    return Graph(n, seen)
 
 
 def serialize_edges(n: int, edge_count: int, edges: Iterable[Pair]) -> str:
@@ -375,7 +376,7 @@ def parse_coloring(text: str) -> TwoColoring:
     seen: set[Pair] = set()
     for lineno, line in lines:
         _parse_pair_line(line.split(), "r", n, seen, lineno)
-    return TwoColoring(n, frozenset(seen))
+    return TwoColoring(n, seen)
 
 
 def serialize_coloring(col: TwoColoring) -> str:

@@ -271,6 +271,11 @@ def reference_ramsey_number(H: Graph, G: Graph, n_cap: int) -> int | None:
     return None
 
 
+def unsearched(n: int, H: Graph, G: Graph):
+    """A stand-in for `find_witness` in a test where no order may be searched."""
+    raise AssertionError(f"searched K_{n}")
+
+
 def all_arcs_pinned_copy(adj: list[int], n: int, G: Graph, u: int, v: int) -> bool:
     """Does the host graph (bitmask rows `adj` on n vertices) contain a copy
     of G that maps some edge of G onto (u, v)?  Every edge of G is tried both

@@ -17,7 +17,9 @@ from conftest import (
     GRAPHS_UP_TO_3_EDGES,
     random_bipartite_red_coloring,
     random_connected_graph,
+    unsearched,
 )
+from ramseykit import exact
 from ramseykit.bounds import evaluate_all, theorem3_exponent
 from ramseykit.cli import main
 from ramseykit.construct import (
@@ -28,6 +30,7 @@ from ramseykit.construct import (
 from ramseykit.embed import embed_s3
 from ramseykit.exact import find_witness, is_witness, ramsey_number
 from ramseykit.graphs import (
+    Graph,
     complete_graph,
     path_graph,
     serialize_graph,
@@ -53,7 +56,12 @@ def test_acceptance_1_exact_oracle():
     report(1, f"r(K_3,K_3)=6 in {elapsed:.3f}s with witness at n=5")
 
 
-def test_acceptance_2_tree_equality():
+def random_tree(m: int, rng: random.Random) -> Graph:
+    """A tree with m edges: vertex v joins a uniformly chosen earlier vertex."""
+    return Graph(m + 1, [(rng.randrange(v), v) for v in range(1, m + 1)])
+
+
+def test_acceptance_2_tree_equality(monkeypatch):
     start = time.monotonic()
     trees = {
         "K2": path_graph(2),        # m = 1
@@ -64,9 +72,20 @@ def test_acceptance_2_tree_equality():
     for name, tree in trees.items():
         m = tree.edge_count
         assert ramsey_number(K3, tree, 2 * m + 2) == 2 * m + 1, name
+    # Past the edge cap Chvátal's value is answered without search.
+    monkeypatch.setattr(exact, "find_witness", unsearched)
+    rng = random.Random(0)
+    for m in (10, 100, 1000):
+        for name, tree in (("path", path_graph(m + 1)), ("star", star_graph(m)),
+                           ("random tree", random_tree(m, rng))):
+            assert tree.edge_count == m and len(tree.components()) == 1, (name, m)
+            for A, B in ((K3, tree), (tree, K3)):
+                assert ramsey_number(A, B, 2 * m + 1) == 2 * m + 1, (name, m)
+                assert ramsey_number(A, B, 2 * m) is None, (name, m)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
-    report(2, f"r(K_3,T)=2m+1 for all trees with m<=3 edges in {elapsed:.2f}s")
+    report(2, "r(K_3,T)=2m+1 for all trees with m<=3 edges, and for a path, a star and "
+              f"a random tree at m=10, 100, 1000, in {elapsed:.2f}s")
 
 
 def test_acceptance_3_sidorenko_ceiling():

@@ -18,6 +18,7 @@ from ramseykit import cli, construct, detect, exact
 from ramseykit.cli import main
 from ramseykit.errors import ContractViolation
 from ramseykit.graphs import (
+    Graph,
     TwoColoring,
     complete_graph,
     parse_coloring,
@@ -376,14 +377,28 @@ class TestExact:
         assert code == 0
         assert json.loads(out) == {"ramsey": 11}
 
-    def test_order_above_edge_cap_exits_2(self, capsys, tmp_path):
-        # r(K2, P13) = 13, so the search reaches K_12 and its 66 edges.
-        k2, p13 = tmp_path / "k2.g", tmp_path / "p13.g"
-        k2.write_text(serialize_graph(complete_graph(2)))
-        p13.write_text(serialize_graph(path_graph(13)))
-        code, out, err = run(capsys, ["exact", "--H", str(k2), "--G", str(p13), "--cap", "12"],
-                             within=10)
+    def test_order_above_edge_cap_exits_2(self, capsys, input_files):
+        # L(K3, 6K2) = 12 is no theorem's value, so the search starts at K_12
+        # and its 66 edges.
+        argv = ["exact", "--H", input_files["k3"], "--G", input_files["6k2.g"], "--cap", "12"]
+        code, out, err = run(capsys, argv, within=10)
         assert_one_error_line(code, out, err)
+        assert err == "error: K_12 has 66 edges, above the cap of 55\n"
+
+    @pytest.mark.parametrize("H, G, cap, code, data", [
+        # Chvátal: r(K3, P11) = 2 * 10 + 1; r(K2, P13) = 13.
+        ("k3", "p11.g", "21", 0, {"ramsey": 21}),
+        ("k3", "p11.g", "20", 1, {"ramsey": None, "greater_than": 20}),
+        ("k2.g", "p13.g", "13", 0, {"ramsey": 13}),
+        ("k2.g", "p13.g", "12", 1, {"ramsey": None, "greater_than": 12}),
+    ], ids=["K3-P11-cap21", "K3-P11-cap20", "K2-P13-cap13", "K2-P13-cap12"])
+    def test_theorem_value_above_edge_cap(self, capsys, input_files, H, G, cap, code, data):
+        # A value a theorem fixes needs no search, so the edge cap does not apply.
+        argv = ["exact", "--H", input_files[H], "--G", input_files[G], "--cap", cap]
+        got, out, err = run(capsys, argv, within=10)
+        assert (got, err) == (code, "")
+        jsonschema.validate(json.loads(out), load_schema("exact.schema.json"))
+        assert json.loads(out) == data
 
     @pytest.mark.parametrize("H, G, cap, ramsey, within", [
         # Cycle pairs (Faudree and Schelp; Rosta): 2k - 1 when the shorter
@@ -710,6 +725,9 @@ def input_files(tmp_path_factory):
         "p4": serialize_graph(path_graph(4)),
         "p6": serialize_graph(path_graph(6)),
         "p21": serialize_graph(path_graph(21)),
+        "p11.g": serialize_graph(path_graph(11)),
+        "p13.g": serialize_graph(path_graph(13)),
+        "6k2.g": serialize_graph(Graph(12, [(2 * i, 2 * i + 1) for i in range(6)])),
         "empty": "",
         "c8": serialize_coloring(TwoColoring(8, cycle_graph(8).edges)),
         "k70": serialize_coloring(TwoColoring(70, [])),

@@ -49,6 +49,8 @@ class TestFindClique:
 
     def test_s_larger_than_n(self):
         assert find_clique(ALL_RED_K5, "red", 6) is None
+        # The root is the one node visited: five vertices cannot hold six.
+        assert find_clique(ALL_RED_K5, "red", 6, node_budget=1) is None
 
     def test_invalid_s(self):
         with pytest.raises(InputError):

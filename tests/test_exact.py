@@ -14,6 +14,7 @@ from conftest import (
     reference_find_witness,
     reference_ramsey_number,
     row_major_reference_search,
+    unsearched,
 )
 from ramseykit import exact
 from ramseykit.detect import find_copy
@@ -488,11 +489,20 @@ class TestChvatalHararyStart:
         assert ramsey_number(H, G, 10) == visited[-1]
         assert seen == visited
 
-    def test_answer_above_edge_cap_raises_at_k12(self):
-        # r(K2, P13) = 13 = L: the walk from 1 stops at K_12, and so must the start.
-        for walk in (ramsey_number, reference_ramsey_number):
-            with pytest.raises(CapacityError, match="^K_12 has 66 edges"):
-                walk(complete_graph(2), path_graph(13), 15)
+    def test_answer_above_edge_cap_raises_at_k12(self, monkeypatch):
+        # L(K3, 6K2) = 12 is not exact: the start is K_12, as the walk from 1
+        # would reach it.  r(K2, P13) = 13 = L is a theorem's value: the walk
+        # from 1 stops at K_12, and ramsey_number answers it without search.
+        six_k2 = Graph(12, [(2 * i, 2 * i + 1) for i in range(6)])
+        assert exact._lower_bound(K3, six_k2) == (12, False)
+        with pytest.raises(CapacityError, match="^K_12 has 66 edges"):
+            ramsey_number(K3, six_k2, 12)
+        K2, P13 = complete_graph(2), path_graph(13)
+        with pytest.raises(CapacityError, match="^K_12 has 66 edges"):
+            reference_ramsey_number(K2, P13, 15)
+        monkeypatch.setattr(exact, "find_witness", unsearched)
+        assert ramsey_number(K2, P13, 15) == ramsey_number(K2, P13, 13) == 13
+        assert ramsey_number(K2, P13, 12) is None
 
     @pytest.mark.parametrize("h", list(START_PATTERNS))
     def test_construction_is_a_witness(self, h):
@@ -542,8 +552,8 @@ class TestClosedForm:
     """`_lower_bound` marks r(K2, G) = max(1, |V(G)|), Chvátal's
     r(K_m, T) = (m - 1)(|T| - 1) + 1 and the cycle pairs' r(C_m, C_k)
     (Faudree and Schelp; Rosta) exact, and ramsey_number answers them
-    without search when the value is at most MAX_ORDER; each value must be
-    the one the search proves."""
+    without search at any order, above MAX_ORDER too; each value up to
+    MAX_ORDER must be the one the search proves."""
 
     def test_k2_against_every_catalogue_pattern(self):
         K2 = complete_graph(2)
@@ -612,7 +622,7 @@ class TestClosedForm:
             assert witness is not None and is_witness(witness, A, B)
             assert find_witness(r, A, B) is None
 
-    def test_no_shortcut_off_cycles(self):
+    def test_no_shortcut_off_cycles(self, monkeypatch):
         # The theorem's two exceptions are walked and give 6.
         for C in (K3, C4):
             assert exact._lower_bound(C, C)[1] is False
@@ -628,26 +638,29 @@ class TestClosedForm:
         for g, G in not_cycles.items():
             for C in (K3, C4, cycle_graph(5)):
                 assert exact._lower_bound(C, G)[1] is exact._lower_bound(G, C)[1] is False, g
-        # Known values above MAX_ORDER are walked and stop at K_12.
+        # Known values above MAX_ORDER are answered without search.
+        monkeypatch.setattr(exact, "find_witness", unsearched)
         for A, B, r in ((K3, cycle_graph(7), 13), (cycle_graph(10), cycle_graph(10), 14)):
             assert exact._lower_bound(A, B) == exact._lower_bound(B, A) == (r, True)
-            assert ramsey_number(A, B, 10) is None
-            with pytest.raises(CapacityError, match="^K_12 has 66 edges"):
-                ramsey_number(A, B, 12)
+            for X, Y in ((A, B), (B, A)):
+                assert ramsey_number(X, Y, r) == ramsey_number(X, Y, r + 5) == r
+                assert ramsey_number(X, Y, r - 1) is ramsey_number(X, Y, 10) is None
 
-    def test_value_above_cap(self):
+    def test_value_above_cap(self, monkeypatch):
         K2 = complete_graph(2)
         assert exact._lower_bound(K3, star_graph(5)) == (11, True)
         assert ramsey_number(K3, star_graph(5), 10) is None
         assert ramsey_number(star_graph(5), K3, 10) is None
         assert ramsey_number(K2, path_graph(11), 10) is None
-        # Values from 12 up are walked, and the walk stops at K_12.
+        # Values from 12 up are answered without search too.
+        monkeypatch.setattr(exact, "find_witness", unsearched)
         assert exact._lower_bound(K2, path_graph(13)) == (13, True)
         assert exact._lower_bound(K3, path_graph(7)) == (13, True)
         assert ramsey_number(K2, path_graph(13), 11) is None
         for H, G in ((K2, path_graph(13)), (K3, path_graph(7))):
-            with pytest.raises(CapacityError, match="^K_12 has 66 edges"):
-                ramsey_number(H, G, 12)
+            for A, B in ((H, G), (G, H)):
+                assert ramsey_number(A, B, 13) == ramsey_number(A, B, 20) == 13
+                assert ramsey_number(A, B, 12) is None
 
     @pytest.mark.parametrize("pair", list(TREE_PAIRS))
     def test_dfs_still_proves_tree_values(self, pair):

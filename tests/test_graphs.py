@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -64,6 +65,25 @@ class TestTypes:
         col = TwoColoring(6, [(0, 1), (2, 5)])
         blue_ends = sum(row.bit_count() for row in col.blue_adjacency_bits())
         assert col.red_count == 2 and col.red_count + blue_ends // 2 == 15
+
+    def test_red_count_is_read_from_rows(self):
+        # The rows are the only state: red_count is the red-pair count on
+        # every way a coloring is built.
+        assert [f.name for f in dataclasses.fields(TwoColoring)] == ["n", "_rows"]
+        drawn = random_coloring(12, 0.4, 3)
+        built = [
+            TwoColoring(6, [(0, 1), (5, 2), (2, 5)]),
+            TwoColoring._from_rows([0b110, 0b001, 0b001]),
+            drawn,
+            recolor_packing(drawn, 3)[0],
+            induced_coloring(drawn, range(2, 9))[0],
+            parse_coloring("n 5\nr 1 2\nr 4 2\nr 3 5\n"),
+            TwoColoring(0),
+        ]
+        for col in built:
+            pairs = [(u, v) for u, v in itertools.combinations(range(col.n), 2)
+                     if col.is_red(u, v)]
+            assert col.red_count == len(pairs) == len(col.red), col
 
     def test_coloring_rejects_bad_pair(self):
         with pytest.raises(InputError):
